@@ -2,8 +2,8 @@
 """CI throughput smoke: prove the simulator-speed metric is alive.
 
 Builds one quick-scale figure through the same timed-run helper the
-bench uses, asserts ``sim_cycles_per_wall_second`` is present and
-nonzero, and writes the entry to ``benchmarks/results/throughput.json``
+bench uses, asserts the gated ``units_per_wall_second`` is present
+and nonzero, and writes the entry to ``benchmarks/results/throughput.json``
 so it rides along with the bench artifacts.  Pick a different figure
 with ``REPRO_THROUGHPUT_FIGURE``.
 """
@@ -30,17 +30,18 @@ def main() -> int:
     specs = select_figures([FIGURE])
     _, throughput = build_figures(specs, QUICK_SCALE, label="throughput")
     entry = throughput.get(FIGURE, {})
-    rate = entry.get("sim_cycles_per_wall_second")
+    rate = entry.get("units_per_wall_second")
     if not rate:
-        print(f"error: sim_cycles_per_wall_second missing or zero for "
+        print(f"error: units_per_wall_second missing or zero for "
               f"{FIGURE}: {entry!r}", file=sys.stderr)
         return 1
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w") as fh:
         json.dump({"figure": FIGURE, **entry}, fh, indent=2)
         fh.write("\n")
-    print(f"[throughput] {FIGURE}: {entry['sim_cycles']:,} sim cycles "
-          f"in {entry['wall_seconds']}s = {rate:,} sim cycles/s")
+    print(f"[throughput] {FIGURE}: {entry['units']:,} units "
+          f"in {entry['wall_seconds']}s = {rate:,} units/s "
+          f"({entry['sim_cycles_per_wall_second']:,} sim cycles/s)")
     print(f"[throughput] written to {OUT}")
     return 0
 

@@ -262,13 +262,14 @@ def build_searches(schemes: Sequence[str], sizing: FleetSizing,
             note(*_scheme_worker(task))
 
     searches = {scheme: built[scheme][0] for scheme in schemes}
-    total_sim = sum(int(p["row"]["wall_cycles"])
-                    for search in searches.values()
-                    for p in (search["capacity_point"],
-                              search["breach_point"])
-                    if p is not None)
+    rows = [p["row"] for search in searches.values()
+            for p in (search["capacity_point"], search["breach_point"])
+            if p is not None]
+    total_sim = sum(int(row["wall_cycles"]) for row in rows)
+    total_units = sum(int(row["units"]) for row in rows)
     total_wall = sum(elapsed for _, elapsed in built.values())
-    throughput = {"overall": _throughput_entry(total_sim, total_wall)}
+    throughput = {"overall": _throughput_entry(total_sim, total_units,
+                                               total_wall)}
     return searches, throughput
 
 

@@ -69,10 +69,10 @@ def build_record(mode: str, figures: Dict[str, dict],
     """Assemble the full record from the runner's per-figure data.
 
     ``throughput`` is the runner's per-figure (plus ``"overall"``)
-    simulator-speed section: ``sim_cycles`` are deterministic, while
-    ``wall_seconds`` / ``sim_cycles_per_wall_second`` are host-dependent
-    — :func:`stable_view` strips the latter for byte-for-byte record
-    comparison.
+    simulator-speed section: ``sim_cycles`` and ``units`` are
+    deterministic, while ``wall_seconds`` and the two per-wall-second
+    rates are host-dependent — :func:`stable_view` strips the latter
+    for byte-for-byte record comparison.
     """
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -83,6 +83,11 @@ def build_record(mode: str, figures: Dict[str, dict],
     if throughput is not None:
         record["throughput"] = throughput
     return record
+
+
+#: ``throughput`` entry fields that depend on the host, not the simulation.
+_HOST_DEPENDENT_THROUGHPUT = ("wall_seconds", "sim_cycles_per_wall_second",
+                              "units_per_wall_second")
 
 
 def stable_view(record: Dict) -> Dict:
@@ -97,8 +102,8 @@ def stable_view(record: Dict) -> Dict:
     view.pop("created", None)
     for entry in view.get("throughput", {}).values():
         if isinstance(entry, dict):
-            entry.pop("wall_seconds", None)
-            entry.pop("sim_cycles_per_wall_second", None)
+            for key in _HOST_DEPENDENT_THROUGHPUT:
+                entry.pop(key, None)
     return view
 
 
@@ -187,13 +192,16 @@ def render_markdown(record: Dict) -> str:
         lines.extend([
             "## Simulator throughput",
             "",
-            "| figure | sim cycles | wall [s] | sim cycles / wall s |",
-            "|---|---:|---:|---:|",
+            "| figure | units | wall [s] | units / wall s (gated) "
+            "| sim cycles | sim cycles / wall s |",
+            "|---|---:|---:|---:|---:|---:|",
         ])
         for name, entry in throughput.items():
             lines.append(
-                f"| {name} | {entry.get('sim_cycles', 0):,} "
+                f"| {name} | {entry.get('units', 0):,} "
                 f"| {entry.get('wall_seconds', 0)} "
+                f"| {entry.get('units_per_wall_second', 0):,} "
+                f"| {entry.get('sim_cycles', 0):,} "
                 f"| {entry.get('sim_cycles_per_wall_second', 0):,} |")
         lines.append("")
     for name, figure in record.get("figures", {}).items():

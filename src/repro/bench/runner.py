@@ -38,7 +38,6 @@ from repro.stats.reporting import (
     render_throughput_table,
 )
 from repro.stats.results import RunResult
-from repro.stats.timeline import render_span_tree
 from repro.workloads.memcached import MemcachedConfig, run_memcached
 from repro.workloads.netperf import (
     PAPER_MESSAGE_SIZES,
@@ -504,18 +503,29 @@ def select_figures(only: Optional[Sequence[str]]) -> List[FigureSpec]:
     return [by_name[name] for name in only]
 
 
-def _figure_sim_cycles(figure: dict) -> int:
-    """Total simulated cycles behind one figure's series rows."""
-    return sum(int(row.get("wall_cycles") or 0)
-               for row in figure.get("series", ()))
+def _figure_totals(figure: dict) -> Tuple[int, int]:
+    """Total simulated cycles and work units behind one figure's rows."""
+    rows = figure.get("series", ())
+    return (sum(int(row.get("wall_cycles") or 0) for row in rows),
+            sum(int(row.get("units") or 0) for row in rows))
 
 
-def _throughput_entry(sim_cycles: int, wall_seconds: float) -> dict:
-    rate = sim_cycles / wall_seconds if wall_seconds > 0 else 0.0
+def _throughput_entry(sim_cycles: int, units: int,
+                      wall_seconds: float) -> dict:
+    """One simulator-speed entry.  ``units_per_wall_second`` (simulated
+    work units — segments, messages, transactions, I/Os — per host
+    second) is the gated speed number; ``sim_cycles_per_wall_second``
+    is report-only, because it rises when the *simulated* scheme is
+    slower at equal work."""
+    def per_second(count: int) -> int:
+        return round(count / wall_seconds) if wall_seconds > 0 else 0
+
     return {
         "sim_cycles": sim_cycles,
+        "units": units,
         "wall_seconds": round(wall_seconds, 3),
-        "sim_cycles_per_wall_second": round(rate),
+        "sim_cycles_per_wall_second": per_second(sim_cycles),
+        "units_per_wall_second": per_second(units),
     }
 
 
@@ -543,9 +553,8 @@ def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
     over worker processes; results are merged back **in spec order**,
     making both return values deterministic regardless of job count.
     Returns ``(figures, throughput)``: the per-figure record data plus a
-    ``sim_cycles_per_wall_second`` entry per figure and ``"overall"``
-    (summed figure build times, not makespan — comparable across job
-    counts).
+    :func:`_throughput_entry` per figure and ``"overall"`` (summed
+    figure build times, not makespan — comparable across job counts).
     """
     if jobs < 1:
         raise SystemExit(f"error: jobs must be positive: {jobs}")
@@ -570,14 +579,16 @@ def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
 
     figures = {spec.name: built[spec.name][0] for spec in specs}
     throughput: Dict[str, dict] = {}
-    total_sim, total_wall = 0, 0.0
+    total_sim, total_units, total_wall = 0, 0, 0.0
     for spec in specs:
         data, elapsed = built[spec.name]
-        sim = _figure_sim_cycles(data)
+        sim, units = _figure_totals(data)
         total_sim += sim
+        total_units += units
         total_wall += elapsed
-        throughput[spec.name] = _throughput_entry(sim, elapsed)
-    throughput["overall"] = _throughput_entry(total_sim, total_wall)
+        throughput[spec.name] = _throughput_entry(sim, units, elapsed)
+    throughput["overall"] = _throughput_entry(total_sim, total_units,
+                                              total_wall)
     return figures, throughput
 
 
@@ -611,10 +622,10 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
     record = build_record(mode=scale.name, figures=figures,
                           schemes=FIGURE_SCHEMES, throughput=throughput)
     json_path, md_path = write_record(record, out)
-    rate = throughput["overall"]["sim_cycles_per_wall_second"]
+    rate = throughput["overall"]["units_per_wall_second"]
     print(f"[bench] {len(specs)} figures in "
           f"{time.perf_counter() - started:.1f}s (jobs={jobs}, "
-          f"{rate:,} sim cycles/s)")
+          f"{rate:,} units/s)")
     print(f"[bench] record : {json_path}")
     print(f"[bench] report : {md_path}")
 
@@ -622,10 +633,3 @@ def run_bench(mode: str = "quick", only: Optional[Sequence[str]] = None,
         return gate_against_baseline(baseline, record, out_dir=out)
     return 0
 
-
-def render_figure_spans(figure: dict, scheme: str) -> str:
-    """Render one scheme's attribution tree from a figure's record data."""
-    tree = figure.get("spans", {}).get(scheme)
-    if tree is None:
-        return f"(no spans recorded for {scheme})"
-    return render_span_tree(SpanNode.from_dict(tree))

@@ -250,11 +250,12 @@ def build_sweep(workload: str, schemes: Sequence[str],
     points: Dict[str, List[Dict]] = {
         scheme: [built[(scheme, n)][0] for n in cores]
         for scheme in schemes}
-    total_sim = sum(point["wall_cycles"]
-                    for per_scheme in points.values()
-                    for point in per_scheme)
+    every = [point for per_scheme in points.values() for point in per_scheme]
+    total_sim = sum(point["wall_cycles"] for point in every)
+    total_units = sum(point["units"] for point in every)
     total_wall = sum(elapsed for _, elapsed in built.values())
-    throughput = {"overall": _throughput_entry(total_sim, total_wall)}
+    throughput = {"overall": _throughput_entry(total_sim, total_units,
+                                               total_wall)}
     return points, throughput
 
 

@@ -52,9 +52,9 @@ class Core:
 
     def charge(self, cycles: int, category: str = CAT_OTHER) -> None:
         """Consume ``cycles`` of busy CPU time in ``category``."""
-        if cycles < 0:
-            raise ValueError(f"negative charge: {cycles}")
-        if cycles == 0:
+        if cycles <= 0:
+            if cycles < 0:
+                raise ValueError(f"negative charge: {cycles}")
             return
         self.now += cycles
         self.busy_cycles += cycles

@@ -22,6 +22,8 @@ from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 #: Physical address stride between NUMA node regions (64 GiB).
 NODE_REGION_SHIFT = 36
 NODE_REGION_BYTES = 1 << NODE_REGION_SHIFT
+_NODE_OFFSET_MASK = NODE_REGION_BYTES - 1
+_PAGE_MASK = PAGE_SIZE - 1
 
 
 class PhysicalMemory:
@@ -78,8 +80,28 @@ class PhysicalMemory:
             self._frames[pfn] = frame
         return frame
 
+    def _in_one_frame(self, pa: int, size: int) -> bool:
+        """Whether ``[pa, pa+size)`` is non-empty and lies inside one
+        page frame of one node's region: the precondition of the
+        single-frame fast paths (inlined in :meth:`read`/:meth:`write`,
+        which run on every DMA)."""
+        return (0 < size <= PAGE_SIZE - (pa & _PAGE_MASK)
+                and 0 <= pa >> NODE_REGION_SHIFT < self.num_nodes
+                and (pa & _NODE_OFFSET_MASK) + size <= self.node_bytes)
+
     def write(self, pa: int, data: bytes) -> None:
         """Write ``data`` starting at physical address ``pa``."""
+        size = len(data)
+        in_page = pa & _PAGE_MASK
+        if (0 < size <= PAGE_SIZE - in_page
+                and 0 <= pa >> NODE_REGION_SHIFT < self.num_nodes
+                and (pa & _NODE_OFFSET_MASK) + size <= self.node_bytes):
+            self._frame(pa >> PAGE_SHIFT)[in_page:in_page + size] = data
+            return
+        self._write_pages(pa, data)
+
+    def _write_pages(self, pa: int, data: bytes) -> None:
+        """:meth:`write` for any range: checked, then page by page."""
         if not data:
             return
         if not self.contains(pa, len(data)):
@@ -99,6 +121,16 @@ class PhysicalMemory:
 
     def read(self, pa: int, size: int) -> bytes:
         """Read ``size`` bytes starting at physical address ``pa``."""
+        in_page = pa & _PAGE_MASK
+        if (0 < size <= PAGE_SIZE - in_page
+                and 0 <= pa >> NODE_REGION_SHIFT < self.num_nodes
+                and (pa & _NODE_OFFSET_MASK) + size <= self.node_bytes):
+            frame = self._frame(pa >> PAGE_SHIFT)
+            return bytes(frame[in_page:in_page + size])
+        return self._read_pages(pa, size)
+
+    def _read_pages(self, pa: int, size: int) -> bytes:
+        """:meth:`read` for any range: checked, then page by page."""
         if size == 0:
             return b""
         if not self.contains(pa, size):
@@ -119,6 +151,13 @@ class PhysicalMemory:
 
     def copy(self, dst_pa: int, src_pa: int, size: int) -> None:
         """Copy ``size`` bytes between physical ranges (the memcpy engine)."""
+        if self._in_one_frame(src_pa, size) and self._in_one_frame(dst_pa,
+                                                                   size):
+            src = src_pa & _PAGE_MASK
+            chunk = self._frame(src_pa >> PAGE_SHIFT)[src:src + size]
+            dst = dst_pa & _PAGE_MASK
+            self._frame(dst_pa >> PAGE_SHIFT)[dst:dst + size] = chunk
+            return
         if size == 0:
             return
         self.write(dst_pa, self.read(src_pa, size))

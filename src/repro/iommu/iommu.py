@@ -34,6 +34,8 @@ from repro.obs.exposure import KIND_OS
 from repro.obs.trace import EV_IOMMU_FAULT
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
+_PAGE_MASK = PAGE_SIZE - 1
+
 
 @dataclass(frozen=True)
 class FaultRecord:
@@ -278,6 +280,15 @@ class TranslatingDmaPort:
         self.domain = domain
 
     def dma_read(self, iova: int, size: int) -> bytes:
+        in_page = iova & _PAGE_MASK
+        if 0 < size <= PAGE_SIZE - in_page:     # one page: one translation
+            entry = self.iommu.translate(self.domain, iova, is_write=False)
+            return self.iommu.machine.memory.read(
+                entry.pfn << PAGE_SHIFT | in_page, size)
+        return self._dma_read_pages(iova, size)
+
+    def _dma_read_pages(self, iova: int, size: int) -> bytes:
+        """:meth:`dma_read` for any range: one translation per page."""
         parts: List[bytes] = []
         for chunk_iova, chunk_size in _page_chunks(iova, size):
             entry = self.iommu.translate(self.domain, chunk_iova,
@@ -287,6 +298,16 @@ class TranslatingDmaPort:
         return b"".join(parts)
 
     def dma_write(self, iova: int, data: bytes) -> None:
+        in_page = iova & _PAGE_MASK
+        if 0 < len(data) <= PAGE_SIZE - in_page:    # one page
+            entry = self.iommu.translate(self.domain, iova, is_write=True)
+            self.iommu.machine.memory.write(
+                entry.pfn << PAGE_SHIFT | in_page, data)
+            return
+        self._dma_write_pages(iova, data)
+
+    def _dma_write_pages(self, iova: int, data: bytes) -> None:
+        """:meth:`dma_write` for any range: one translation per page."""
         offset = 0
         for chunk_iova, chunk_size in _page_chunks(iova, len(data)):
             entry = self.iommu.translate(self.domain, chunk_iova,

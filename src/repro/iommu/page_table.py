@@ -30,8 +30,13 @@ class Perm(enum.IntFlag):
     RW = READ | WRITE
 
     def allows(self, *, is_write: bool) -> bool:
-        needed = Perm.WRITE if is_write else Perm.READ
-        return bool(self & needed)
+        # On the plain int value: IntFlag's ``&`` builds a new member
+        # through ``enum`` machinery on every device access.
+        return bool(self._value_ & (_WRITE if is_write else _READ))
+
+
+_READ = Perm.READ._value_
+_WRITE = Perm.WRITE._value_
 
 
 @dataclass(frozen=True)

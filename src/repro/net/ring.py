@@ -22,7 +22,7 @@ from repro.hw.machine import Machine
 from repro.iommu.iommu import DmaPort
 
 DESC_SIZE = 16
-_DESC_FMT = "<QII"
+_DESC = struct.Struct("<QII")
 
 #: Descriptor flag bits.
 FLAG_READY = 0x1   # driver → device: descriptor is armed
@@ -83,12 +83,12 @@ class DescriptorRing:
         return self.coherent.iova + (index % self.entries) * DESC_SIZE
 
     def write_descriptor(self, index: int, desc: Descriptor) -> None:
-        raw = struct.pack(_DESC_FMT, desc.addr, desc.length, desc.flags)
+        raw = _DESC.pack(desc.addr, desc.length, desc.flags)
         self.machine.memory.write(self._slot_pa(index), raw)
 
     def read_descriptor(self, index: int) -> Descriptor:
         raw = self.machine.memory.read(self._slot_pa(index), DESC_SIZE)
-        addr, length, flags = struct.unpack(_DESC_FMT, raw)
+        addr, length, flags = _DESC.unpack(raw)
         return Descriptor(addr=addr, length=length, flags=flags)
 
     def post(self, desc: Descriptor) -> int:
@@ -120,10 +120,10 @@ class DescriptorRing:
     # ------------------------------------------------------------------
     def device_read(self, port: DmaPort, index: int) -> Descriptor:
         raw = port.dma_read(self._slot_iova(index), DESC_SIZE)
-        addr, length, flags = struct.unpack(_DESC_FMT, raw)
+        addr, length, flags = _DESC.unpack(raw)
         return Descriptor(addr=addr, length=length, flags=flags)
 
     def device_write_back(self, port: DmaPort, index: int,
                           desc: Descriptor) -> None:
-        raw = struct.pack(_DESC_FMT, desc.addr, desc.length, desc.flags)
+        raw = _DESC.pack(desc.addr, desc.length, desc.flags)
         port.dma_write(self._slot_iova(index), raw)

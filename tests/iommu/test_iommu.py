@@ -1,6 +1,7 @@
 """IOMMU device-model tests: domains, mapping, translation, DMA ports."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError, IommuFault
 from repro.hw.cpu import CAT_PT_MGMT
@@ -192,3 +193,95 @@ def test_passthrough_port(machine):
     port.dma_write(0x1234, b"raw")
     assert machine.memory.read(0x1234, 3) == b"raw"
     assert port.dma_read(0x1234, 3) == b"raw"
+
+
+# ----------------------------------------------------------------------
+# One-page fast paths of TranslatingDmaPort: an access inside one page
+# takes one translation without page chunking.  It must match the
+# page-by-page general path in bytes, IOTLB state and stats, the fault
+# log, host memory, and the exception raised.
+# ----------------------------------------------------------------------
+_IOVA = 0x10000
+_PFNS = (0x40, 0x99, 0x23)       # discontiguous frames behind 3 pages
+_PERMS = st.sampled_from([Perm.READ, Perm.WRITE, Perm.RW])
+
+
+def _port_twin(perms, warm, capacity):
+    machine = Machine.build(cores=1, numa_nodes=1)
+    iommu = Iommu(machine, iotlb_capacity=capacity)
+    domain = iommu.attach_device(1)
+    for i, (pfn, perm) in enumerate(zip(_PFNS, perms)):
+        iommu.map_range(domain, _IOVA + i * PAGE_SIZE, pfn * PAGE_SIZE,
+                        PAGE_SIZE, perm)
+        machine.memory.write(pfn * PAGE_SIZE,
+                             bytes([i + 1]) * 100 + bytes(range(256)) * 15)
+        if i in warm:
+            page = _IOVA // PAGE_SIZE + i
+            iommu.iotlb.insert(domain.domain_id, page,
+                               domain.page_table.lookup(page))
+    return machine, iommu, TranslatingDmaPort(iommu, domain)
+
+
+def _port_outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:      # compared by type and message
+        return type(exc), str(exc)
+
+
+def _port_state(machine, iommu):
+    return (iommu.iotlb.stats, list(iommu.iotlb._entries.items()),
+            list(iommu.faults), machine.memory._frames)
+
+
+_PORT_EDGES = [(PAGE_SIZE - 1, 1), (PAGE_SIZE - 1, 2), (0, PAGE_SIZE),
+               (1, PAGE_SIZE), (3 * PAGE_SIZE - 1, 1), (3 * PAGE_SIZE, 1),
+               (-1, 1), (0, 0), (0, -1)]
+
+
+def _port_examples(test):
+    for offset, size in _PORT_EDGES:
+        test = example(offset=offset, size=size, perms=(Perm.RW,) * 3,
+                       warm=(0,), capacity=4096)(test)
+    return test
+
+
+_PORT_ARGS = dict(offset=st.integers(-2, 4 * PAGE_SIZE),
+                  size=st.integers(-1, 2 * PAGE_SIZE + 1),
+                  perms=st.tuples(_PERMS, _PERMS, _PERMS),
+                  warm=st.sets(st.integers(0, 2)),
+                  capacity=st.sampled_from([1, 2, 4096]))
+
+
+@_port_examples
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**_PORT_ARGS)
+def test_port_read_fast_path_matches_general(offset, size, perms, warm,
+                                             capacity):
+    fast_m, fast_iommu, fast = _port_twin(perms, warm, capacity)
+    gen_m, gen_iommu, general = _port_twin(perms, warm, capacity)
+    got = _port_outcome(fast.dma_read, _IOVA + offset, size)
+    assert got == _port_outcome(general._dma_read_pages, _IOVA + offset, size)
+    assert got[0] != "ok" or type(got[1]) is bytes
+    assert _port_state(fast_m, fast_iommu) == _port_state(gen_m, gen_iommu)
+
+
+@_port_examples
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**_PORT_ARGS)
+def test_port_write_fast_path_matches_general(offset, size, perms, warm,
+                                              capacity):
+    fast_m, fast_iommu, fast = _port_twin(perms, warm, capacity)
+    gen_m, gen_iommu, general = _port_twin(perms, warm, capacity)
+    data = bytes(i * 13 % 251 for i in range(max(size, 0)))
+    assert (_port_outcome(fast.dma_write, _IOVA + offset, data)
+            == _port_outcome(general._dma_write_pages, _IOVA + offset, data))
+    assert _port_state(fast_m, fast_iommu) == _port_state(gen_m, gen_iommu)
+
+
+@pytest.mark.parametrize("perm", [Perm.NONE, Perm.READ, Perm.WRITE,
+                                  Perm.RW])
+@pytest.mark.parametrize("is_write", [False, True])
+def test_perm_allows_matches_intflag_operators(perm, is_write):
+    needed = Perm.WRITE if is_write else Perm.READ
+    assert perm.allows(is_write=is_write) is bool(perm & needed)

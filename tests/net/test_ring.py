@@ -1,8 +1,15 @@
 """Descriptor-ring tests: driver side, device side, wraparound."""
 
-import pytest
+import struct
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.dma.registry import create_dma_api
 from repro.errors import ConfigurationError, SimulationError
+from repro.hw.machine import Machine
+from repro.iommu.iommu import Iommu
+from repro.kalloc.slab import KernelAllocators
 from repro.net.ring import DESC_SIZE, FLAG_DONE, FLAG_READY, Descriptor, DescriptorRing
 
 
@@ -95,3 +102,64 @@ def test_descriptor_flags():
     d = Descriptor(addr=0, length=0, flags=FLAG_READY | FLAG_DONE)
     assert d.ready and d.done
     assert not Descriptor(addr=0, length=0, flags=0).ready
+
+
+# ----------------------------------------------------------------------
+# The precompiled descriptor codec must encode exactly what
+# ``struct.pack("<QII", ...)`` does and fail the same way.
+# ----------------------------------------------------------------------
+def _packed(addr, length, flags):
+    try:
+        return "ok", struct.pack("<QII", addr, length, flags)
+    except struct.error as exc:
+        return struct.error, str(exc)
+
+
+def _ring_outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:      # compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+_U64 = st.integers(-1, (1 << 64)) | st.sampled_from([0, (1 << 64) - 1])
+_U32 = st.integers(-1, (1 << 32)) | st.sampled_from([0, (1 << 32) - 1])
+
+
+def _fresh_ring():
+    machine = Machine.build(cores=1, numa_nodes=1)
+    api = create_dma_api("copy", machine, Iommu(machine), device_id=1,
+                         allocators=KernelAllocators(machine))
+    return DescriptorRing(machine, api, machine.core(0), entries=8), api
+
+
+@example(addr=(1 << 64) - 1, length=(1 << 32) - 1, flags=(1 << 32) - 1,
+         index=7)
+@example(addr=0, length=0, flags=0, index=0)
+@example(addr=1 << 64, length=0, flags=0, index=0)
+@example(addr=0, length=-1, flags=0, index=3)
+@example(addr=0, length=0, flags=1 << 32, index=8)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(addr=_U64, length=_U32, flags=_U32, index=st.integers(0, 20))
+def test_descriptor_codec_matches_struct_pack(addr, length, flags, index):
+    r, api = _fresh_ring()
+    desc = Descriptor(addr=addr, length=length, flags=flags)
+    expected = _packed(addr, length, flags)
+    slot = r.coherent.kbuf.pa + (index % r.entries) * DESC_SIZE
+    before = r.machine.memory.read(slot, DESC_SIZE)
+    error = _ring_outcome(r.write_descriptor, index, desc)
+    if expected[0] != "ok":
+        assert error == expected
+        assert r.machine.memory.read(slot, DESC_SIZE) == before
+        assert _ring_outcome(r.device_write_back, api.port(), index,
+                             desc) == expected
+        return
+    assert error is None
+    assert r.machine.memory.read(slot, DESC_SIZE) == expected[1]
+    assert r.read_descriptor(index) == desc
+    assert r.device_read(api.port(), index) == desc
+    r.device_write_back(api.port(), index + 1, desc)
+    assert r.machine.memory.read(
+        r.coherent.kbuf.pa + ((index + 1) % r.entries) * DESC_SIZE,
+        DESC_SIZE) == expected[1]
