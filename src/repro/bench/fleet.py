@@ -42,11 +42,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.record import SCHEMA_VERSION, build_record
 from repro.bench.runner import (
     _throughput_entry,
-    _TRACE_CAPACITY,
+    captured_run,
     default_results_dir,
 )
 from repro.bench.scale import resolve_schemes
-from repro.obs.context import Observability
 from repro.obs.perfetto import perfetto_trace
 from repro.obs.slo import SloObjective
 from repro.stats.export import result_to_row
@@ -119,11 +118,10 @@ def fleet_objective(sizing: FleetSizing) -> SloObjective:
 def _eval_point(scheme: str, users: int, sizing: FleetSizing,
                 with_trace: bool = False) -> Dict[str, object]:
     """Run the fleet at ``users`` and flatten the SLO verdict."""
-    obs = Observability.capture(trace_capacity=_TRACE_CAPACITY)
-    result = run_fleet(FleetConfig(
+    result, obs = captured_run(run_fleet, FleetConfig(
         scheme=scheme, cores=sizing.cores, users=users,
         duration_us=sizing.duration_us, warmup_us=sizing.warmup_us,
-        objective=fleet_objective(sizing), obs=obs))
+        objective=fleet_objective(sizing)))
     slo = result.extras["slo"]
     point: Dict[str, object] = {
         "users": users,

@@ -87,7 +87,7 @@ def build_record(mode: str, figures: Dict[str, dict],
 
 #: ``throughput`` entry fields that depend on the host, not the simulation.
 _HOST_DEPENDENT_THROUGHPUT = ("wall_seconds", "sim_cycles_per_wall_second",
-                              "units_per_wall_second")
+                              "units_per_wall_second", "capture_tax")
 
 
 def stable_view(record: Dict) -> Dict:
@@ -193,8 +193,8 @@ def render_markdown(record: Dict) -> str:
             "## Simulator throughput",
             "",
             "| figure | units | wall [s] | units / wall s (gated) "
-            "| sim cycles | sim cycles / wall s |",
-            "|---|---:|---:|---:|---:|---:|",
+            "| sim cycles | sim cycles / wall s | capture tax |",
+            "|---|---:|---:|---:|---:|---:|---:|",
         ])
         for name, entry in throughput.items():
             lines.append(
@@ -202,7 +202,8 @@ def render_markdown(record: Dict) -> str:
                 f"| {entry.get('wall_seconds', 0)} "
                 f"| {entry.get('units_per_wall_second', 0):,} "
                 f"| {entry.get('sim_cycles', 0):,} "
-                f"| {entry.get('sim_cycles_per_wall_second', 0):,} |")
+                f"| {entry.get('sim_cycles_per_wall_second', 0):,} "
+                f"| {entry.get('capture_tax', '-')} |")
         lines.append("")
     for name, figure in record.get("figures", {}).items():
         lines.append(f"## {name}: {figure.get('title', '')}")

@@ -259,8 +259,9 @@ class ShadowBufferPool:
                 f"{self.size_classes[-1]} — huge buffers take the hybrid "
                 f"path (§5.5)"
             )
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_POOL_ACQUIRE, core)
+        obs = self.obs
+        if obs.enabled:
+            obs.spans.begin(SPAN_POOL_ACQUIRE, core)
         core.charge(self.cost.pool_acquire_cycles, CAT_COPY_MGMT)
         flist = self._list_for(core.cid, class_index, rights)
         meta = None
@@ -272,10 +273,10 @@ class ShadowBufferPool:
             meta = self._grow(core, flist)
         meta.os_buf = os_buf
         self.stats.note_acquire()
-        if self.obs.enabled:
-            self.obs.metrics.series("pool.in_flight").sample(
+        if obs.enabled:
+            obs.metrics.series("pool.in_flight").sample(
                 core.now, self.stats.in_flight)
-            self.obs.spans.end(core)
+            obs.spans.end(core)
         return meta
 
     def find_shadow(self, core: Core, iova: int) -> ShadowBufferMeta:
@@ -312,30 +313,31 @@ class ShadowBufferPool:
             raise DmaApiUsageError(
                 f"double release of shadow buffer IOVA {meta.iova:#x}")
         remote = core.cid != meta.owner_core
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_POOL_RELEASE, core)
+        obs = self.obs
+        if obs.enabled:
+            obs.spans.begin(SPAN_POOL_RELEASE, core)
         core.charge(self.cost.pool_release_cycles, CAT_COPY_MGMT)
         if remote:
             core.charge(self.cost.pool_remote_release_cycles, CAT_COPY_MGMT)
         meta.os_buf = None
         self.stats.note_release(remote)
-        if self.obs.enabled:
-            self.obs.metrics.series("pool.in_flight").sample(
+        if obs.enabled:
+            obs.metrics.series("pool.in_flight").sample(
                 core.now, self.stats.in_flight)
         if (not self.sticky and remote and not meta.fallback
                 and meta.size >= PAGE_SIZE):
             # Sub-page buffers are never migrated: their page mapping is
             # shared with siblings of the same list.
             self._migrate_to_core(core, meta)
-            if self.obs.enabled:
-                self.obs.spans.end(core)
+            if obs.enabled:
+                obs.spans.end(core)
             return
         flist = self._lists[meta.list_key]
         flist.tail_lock.acquire(core)
         flist.push_tail(meta)
         flist.tail_lock.release(core)
-        if self.obs.enabled:
-            self.obs.spans.end(core)
+        if obs.enabled:
+            obs.spans.end(core)
 
     # ------------------------------------------------------------------
     # Growth (slow path, §5.3 "Shadow buffer allocation").
@@ -381,13 +383,16 @@ class ShadowBufferPool:
             self.allocators.buddies[node].free_pages(pa, core)
             raise
         self.stats.note_grow(alloc_bytes, nbuffers)
-        if self.obs.enabled:
-            self.obs.tracer.emit(EV_POOL_GROW, core.now, core.cid,
-                                 size_class=size, nbytes=alloc_bytes,
-                                 nbuffers=nbuffers, rights=rights.name)
-            self.obs.metrics.counter("pool.grows").inc()
-            self.obs.metrics.series("pool.bytes_allocated").sample(
-                core.now, self.stats.bytes_allocated)
+        obs = self.obs
+        if obs.enabled:
+            now = core.now
+            obs.tracer.emit(EV_POOL_GROW, now, core.cid, size_class=size,
+                            nbytes=alloc_bytes, nbuffers=nbuffers,
+                            rights=rights.name)
+            metrics = obs.metrics
+            metrics.counter("pool.grows").inc()
+            metrics.series("pool.bytes_allocated").sample(
+                now, self.stats.bytes_allocated)
         # One buffer is returned; the rest go to the private cache so we
         # need not synchronize with concurrent releases (§5.3).
         result = metas[0]

@@ -133,6 +133,10 @@ class DmaApi(abc.ABC):
         #: Observability context; the registry rebinds this to the
         #: machine's after construction (NULL_OBS → zero overhead).
         self.obs = NULL_OBS
+        # Per-scheme metric names, built once.  Subclasses that take
+        # their name as an argument set it before calling this.
+        self._maps_metric = f"dma.maps:{self.name}"
+        self._unmaps_metric = f"dma.unmaps:{self.name}"
 
     # ------------------------------------------------------------------
     # Public API (contract enforcement + dispatch).
@@ -142,35 +146,36 @@ class DmaApi(abc.ABC):
         """Authorize a DMA to/from ``buf``; returns the bus address handle."""
         if buf.size <= 0:
             raise DmaApiError("dma_map of empty buffer")
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_DMA_MAP, core)
+        obs = self.obs
+        if obs.enabled:
+            obs.spans.begin(SPAN_DMA_MAP, core)
         try:
             handle, cookie = self._map(core, buf, direction)
         except ReproError:
             # Keep the span stack balanced when a map fails (schemes
             # unwind their own IOVA/page/pool state before re-raising).
-            if self.obs.enabled:
-                self.obs.spans.end(core)
+            if obs.enabled:
+                obs.spans.end(core)
             raise
-        if self.obs.enabled:
-            self.obs.spans.end(core)
-        if handle.iova in self._live:
+        if obs.enabled:
+            obs.spans.end(core)
+        iova = handle.iova
+        if iova in self._live:
             raise DmaApiError(
-                f"scheme bug: IOVA {handle.iova:#x} handed out twice"
+                f"scheme bug: IOVA {iova:#x} handed out twice"
             )
-        self._live[handle.iova] = _LiveMapping(buf=buf, handle=handle,
-                                               cookie=cookie)
+        self._live[iova] = _LiveMapping(buf=buf, handle=handle,
+                                        cookie=cookie)
         self.stats.note_map(buf.size)
-        if self.obs.enabled:
-            self.obs.tracer.emit(EV_DMA_MAP, core.now, core.cid,
-                                 scheme=self.name, iova=handle.iova,
-                                 size=buf.size,
-                                 direction=direction.value)
-            self.obs.metrics.counter(f"dma.maps:{self.name}").inc()
-            self.obs.exposure.note_dma_map(core.now, self.name,
-                                           self.domain_id, handle.iova,
-                                           buf.size)
-            self.obs.requests.mark(core, MARK_MAPPED)
+        if obs.enabled:
+            now, size = core.now, buf.size
+            obs.tracer.emit(EV_DMA_MAP, now, core.cid, scheme=self.name,
+                            iova=iova, size=size,
+                            direction=direction.value)
+            obs.metrics.counter(self._maps_metric).inc()
+            obs.exposure.note_dma_map(now, self.name, self.domain_id,
+                                      iova, size)
+            obs.requests.mark(core, MARK_MAPPED)
         return handle
 
     def dma_unmap(self, core: Core, handle: DmaHandle) -> None:
@@ -184,21 +189,20 @@ class DmaApi(abc.ABC):
                 f"dma_unmap arguments disagree with dma_map for "
                 f"IOVA {handle.iova:#x}"
             )
-        if self.obs.enabled:
-            self.obs.spans.begin(SPAN_DMA_UNMAP, core)
+        obs = self.obs
+        if obs.enabled:
+            obs.spans.begin(SPAN_DMA_UNMAP, core)
         self._unmap(core, live.buf, handle, live.cookie)
-        if self.obs.enabled:
-            self.obs.spans.end(core)
         self.stats.unmaps += 1
-        if self.obs.enabled:
-            self.obs.tracer.emit(EV_DMA_UNMAP, core.now, core.cid,
-                                 scheme=self.name, iova=handle.iova,
-                                 size=handle.size)
-            self.obs.metrics.counter(f"dma.unmaps:{self.name}").inc()
-            self.obs.exposure.note_dma_unmap(core.now, self.name,
-                                             self.domain_id, handle.iova,
-                                             handle.size)
-            self.obs.requests.mark(core, MARK_UNMAPPED)
+        if obs.enabled:
+            obs.spans.end(core)
+            now = core.now
+            obs.tracer.emit(EV_DMA_UNMAP, now, core.cid, scheme=self.name,
+                            iova=handle.iova, size=handle.size)
+            obs.metrics.counter(self._unmaps_metric).inc()
+            obs.exposure.note_dma_unmap(now, self.name, self.domain_id,
+                                        handle.iova, handle.size)
+            obs.requests.mark(core, MARK_UNMAPPED)
 
     def dma_map_sg(self, core: Core, bufs: Sequence[KBuffer],
                    direction: DmaDirection) -> List[DmaHandle]:

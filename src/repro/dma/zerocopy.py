@@ -256,8 +256,8 @@ class StrictZeroCopyDmaApi(ZeroCopyDmaApi):
                  allocators: KernelAllocators, iova_allocator: IovaAllocator,
                  name: str = "strict", properties: SchemeProperties | None = None,
                  ranged: bool = False, prefetch: bool = False):
-        super().__init__(machine, iommu, device_id, allocators, iova_allocator)
         self.name = name
+        super().__init__(machine, iommu, device_id, allocators, iova_allocator)
         self.ranged = ranged
         self.prefetch = prefetch
         self.properties = properties or SchemeProperties(
@@ -288,8 +288,8 @@ class DeferredZeroCopyDmaApi(ZeroCopyDmaApi):
                  properties: SchemeProperties | None = None,
                  window_budget_cycles: int | None = None,
                  ranged_flush: bool = False):
-        super().__init__(machine, iommu, device_id, allocators, iova_allocator)
         self.name = name
+        super().__init__(machine, iommu, device_id, allocators, iova_allocator)
         self.per_core_batching = per_core_batching
         #: Oldest-pending-entry age that forces a flush.  Defaults to the
         #: classic 10 ms timeout; identity-deferred-bounded passes the

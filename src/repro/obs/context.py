@@ -81,8 +81,8 @@ class Observability:
             # completed requests stream into the SLO windows.
             self.spans.listener = self.requests
             self.requests.tracer = self.tracer
-            if hasattr(self.tracer, "rid_of"):
-                self.tracer.rid_of = self.requests.current_rid
+            if hasattr(self.tracer, "active_requests"):
+                self.tracer.active_requests = self.requests.active
             self.exposure.requests = self.requests
             self.requests.listener = self.slo
 

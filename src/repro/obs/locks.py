@@ -131,7 +131,7 @@ class LockContentionRecorder:
         """One acquisition; ``waited > 0`` means it was contended, with
         ``holder_cid`` the core whose critical section blocked it
         (``-1`` when unknown, e.g. the lock's very first acquisition)."""
-        stats = self._lock(name)
+        stats = self.locks.get(name) or self._lock(name)
         stats.acquisitions += 1
         stats.acquisitions_by_core[waiter_cid] += 1
         if waited <= 0:
@@ -147,7 +147,7 @@ class LockContentionRecorder:
 
     def note_release(self, name: str, holder_cid: int, held: int) -> None:
         """One release: attribute the hold time to the holding core."""
-        stats = self._lock(name)
+        stats = self.locks.get(name) or self._lock(name)
         stats.total_hold_cycles += held
         stats.hold_by_core[holder_cid] += held
 

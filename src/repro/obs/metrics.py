@@ -63,10 +63,17 @@ class CycleHistogram:
             raise ValueError(f"histogram {self.name}: negative value {value}")
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        self.buckets[min(max(int(value) - 1, 0).bit_length(),
-                         _MAX_BUCKETS - 1)] += 1
+        # Compare-and-assign: on a tie the old extreme stays, as with
+        # ``min``/``max``; a new maximum cannot also be a new minimum.
+        if self.max is None:
+            self.min = self.max = value
+        elif value > self.max:
+            self.max = value
+        elif value < self.min:
+            self.min = value
+        bucket = (int(value) - 1).bit_length() if value > 1 else 0
+        self.buckets[bucket if bucket < _MAX_BUCKETS
+                     else _MAX_BUCKETS - 1] += 1
 
     # ------------------------------------------------------------------
     @property

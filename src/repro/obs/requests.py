@@ -245,7 +245,9 @@ class RequestRecorder:
         #: folds requests into windows.
         self.listener = None
         self._next_rid = 1
-        self._active: Dict[int, _ActiveRequest] = {}
+        #: cid -> in-flight request.  Public because the span recorder
+        #: reads it to skip listener calls on cores with no request.
+        self.active: Dict[int, _ActiveRequest] = {}
         self.started = 0
         self.completed = 0
         self._kinds: Dict[str, _KindAggregate] = {}
@@ -265,13 +267,13 @@ class RequestRecorder:
         call *folds into* it: no new id is assigned and the matching
         :meth:`end` simply unwinds the nesting.
         """
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is not None:
             active.depth += 1
             return active.rid
         rid = self._next_rid
         self._next_rid += 1
-        self._active[core.cid] = _ActiveRequest(
+        self.active[core.cid] = _ActiveRequest(
             rid=rid, kind=kind, core=core.cid, start=core.now,
             meta=dict(meta))
         self.started += 1
@@ -283,7 +285,7 @@ class RequestRecorder:
     def end(self, core) -> Optional[RequestRecord]:
         """Close the request on ``core``; returns the record when the
         outermost nesting level closed (``None`` otherwise)."""
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is None:
             return None
         if active.depth > 0:
@@ -317,7 +319,7 @@ class RequestRecorder:
             self.tracer.emit(EV_REQ_END, end, core.cid,
                              rid=active.rid, req_kind=active.kind,
                              latency_cycles=latency)
-        del self._active[core.cid]
+        del self.active[core.cid]
         self.completed += 1
         aggregate = self._kinds.get(active.kind)
         if aggregate is None:
@@ -336,37 +338,37 @@ class RequestRecorder:
 
     def mark(self, core, name: str) -> None:
         """Record a lifecycle mark on the core's active request."""
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is not None and len(active.marks) < _MAX_MARKS:
             active.marks.append((name, core.now))
 
     def note_lock_wait(self, core, lock_name: str, waited: int) -> None:
         """Attribute a contended lock wait to the active request."""
-        active = self._active.get(core.cid)
+        active = self.active.get(core.cid)
         if active is not None:
             active.locks[lock_name] = \
                 active.locks.get(lock_name, 0) + waited
 
     def current_rid(self, cid: int) -> Optional[int]:
         """The active request id on core ``cid`` (tracer linkage)."""
-        active = self._active.get(cid)
+        active = self.active.get(cid)
         return active.rid if active is not None else None
 
     def active_rids(self) -> Dict[int, int]:
         """Per-core active request ids (fault forensics)."""
-        return {cid: active.rid for cid, active in self._active.items()}
+        return {cid: active.rid for cid, active in self.active.items()}
 
     # ------------------------------------------------------------------
     # SpanRecorder listener hook (stage capture).
     # ------------------------------------------------------------------
     def on_span_begin(self, cid: int, name: str, t: int) -> None:
-        active = self._active.get(cid)
+        active = self.active.get(cid)
         if active is not None:
             active.stage_stack.append([name, t, 0])
 
     def on_span_end(self, cid: int, name: str, opened_at: int,
                     t: int) -> None:
-        active = self._active.get(cid)
+        active = self.active.get(cid)
         if active is None:
             return
         stack = active.stage_stack
@@ -391,7 +393,7 @@ class RequestRecorder:
     # ------------------------------------------------------------------
     @property
     def open_requests(self) -> int:
-        return len(self._active)
+        return len(self.active)
 
     def kinds(self) -> Tuple[str, ...]:
         return tuple(sorted(self._kinds))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 # ----------------------------------------------------------------------
 # Event kinds.  Dotted names group by subsystem; renderers and tests
@@ -89,6 +89,10 @@ class TraceEvent:
         return row
 
 
+#: One retained ring entry: the fields of a :class:`TraceEvent`.
+_Row = Tuple[int, int, str, Dict[str, object]]
+
+
 class NullTracer:
     """Disabled tracer: the default for every benchmark run.
 
@@ -116,6 +120,10 @@ class RingTracer:
     events are evicted (the tail of a run is usually what a debugging
     session needs).  ``emitted`` counts every event ever emitted, so
     ``dropped`` reports how much history the ring evicted.
+
+    The ring holds raw ``(t, core, kind, data)`` rows: most emitted
+    events are evicted unread, so :class:`TraceEvent` objects are built
+    only when the ring is read (``events``, iteration, export).
     """
 
     enabled = True
@@ -124,21 +132,20 @@ class RingTracer:
         if capacity < 1:
             raise ValueError(f"tracer capacity must be positive: {capacity}")
         self.capacity = capacity
-        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._ring: Deque[_Row] = deque(maxlen=capacity)
         self.emitted = 0
-        #: Optional ``cid -> rid`` resolver (``RequestRecorder.current_rid``)
-        #: wired by the Observability context: when a request is active on
-        #: the emitting core, events are stamped with its ``rid`` so the
-        #: whole trace is request-linkable.
-        self.rid_of = None
+        #: Optional ``cid -> in-flight request`` table (the request
+        #: recorder's ``active``) wired by the Observability context:
+        #: when a request is active on the emitting core, events are
+        #: stamped with its ``rid`` so the whole trace is request-linkable.
+        self.active_requests = None
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, t: int, core: int, **data: object) -> None:
-        if self.rid_of is not None and "rid" not in data:
-            rid = self.rid_of(core)
-            if rid is not None:
-                data["rid"] = rid
-        self._ring.append(TraceEvent(t=t, core=core, kind=kind, data=data))
+        active = self.active_requests
+        if active and core in active and "rid" not in data:
+            data["rid"] = active[core].rid
+        self._ring.append((t, core, kind, data))
         self.emitted += 1
 
     # ------------------------------------------------------------------
@@ -150,17 +157,17 @@ class RingTracer:
         return len(self._ring)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._ring)
+        return (TraceEvent(*row) for row in self._ring)
 
     def events(self, kind: Optional[str] = None) -> List[TraceEvent]:
         """All retained events, optionally filtered by ``kind``."""
         if kind is None:
-            return list(self._ring)
-        return [ev for ev in self._ring if ev.kind == kind]
+            return [TraceEvent(*row) for row in self._ring]
+        return [TraceEvent(*row) for row in self._ring if row[2] == kind]
 
     def counts_by_kind(self) -> Counter:
         """Retained event counts per kind (cheap trace overview)."""
-        return Counter(ev.kind for ev in self._ring)
+        return Counter(row[2] for row in self._ring)
 
     def clear(self) -> None:
         self._ring.clear()
@@ -173,7 +180,7 @@ class RingTracer:
         """One compact JSON object per line, in emission order."""
         return "\n".join(json.dumps(ev.to_dict(), sort_keys=True,
                                     separators=(",", ":"))
-                         for ev in self._ring)
+                         for ev in self)
 
     def write_jsonl(self, path: str) -> int:
         """Write the retained events to ``path``; returns the event count."""

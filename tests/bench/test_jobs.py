@@ -117,3 +117,19 @@ def test_throughput_gate_skips_legacy_baselines():
     legacy = build_record(mode="quick", figures={}, schemes=FIGURE_SCHEMES)
     current = _record_with_rate(1)
     assert compare_records(legacy, current) == []
+
+
+def test_capture_tax_is_reported_per_figure_and_report_only():
+    """Each figure's entry carries the captured / uncaptured wall ratio
+    of its first point; the overall entry has none, the stable view
+    strips it, and the gate ignores it."""
+    specs = select_figures(["fig05"])
+    _, throughput = build_figures(specs, TINY, jobs=1, label="test")
+    assert throughput["fig05"]["capture_tax"] > 0
+    assert "capture_tax" not in throughput["overall"]
+    record = build_record(mode="quick", figures={}, schemes=FIGURE_SCHEMES,
+                          throughput=throughput)
+    assert "capture_tax" not in stable_view(record)["throughput"]["fig05"]
+    taxed = json.loads(json.dumps(record))
+    taxed["throughput"]["fig05"]["capture_tax"] *= 100
+    assert compare_records(record, taxed) == []
