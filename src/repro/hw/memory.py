@@ -2,10 +2,14 @@
 
 All DMA in the simulation moves *actual bytes* through this model: device
 writes land in page frames here, the shadow-pool copies read and write
-these frames, and the attack framework inspects them.  Frames are
-materialized lazily (a ``dict`` keyed by page-frame number), so a machine
-can expose many gigabytes of address space while only the touched pages
-cost host memory.
+these frames, and the attack framework inspects them.  Frames live in a
+``dict`` keyed by page-frame number, and only a write materializes one:
+a write into the frame, or a copy that moves bytes out of a written
+frame.  Memory never written reads as zeros without a frame, and a copy
+of such zeros into another unwritten frame does nothing, so a machine
+can expose many gigabytes of address space while only the written pages
+cost host memory.  Frames are never dropped: freed pages keep their
+bytes for the attack framework.
 
 Each NUMA node owns a disjoint physical address range (64 GiB apart), so
 the node of any physical address can be recovered arithmetically — the
@@ -14,7 +18,7 @@ shadow pool uses this to keep copies NUMA-local (§5.3).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import MemoryAccessError
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
@@ -125,7 +129,9 @@ class PhysicalMemory:
         if (0 < size <= PAGE_SIZE - in_page
                 and 0 <= pa >> NODE_REGION_SHIFT < self.num_nodes
                 and (pa & _NODE_OFFSET_MASK) + size <= self.node_bytes):
-            frame = self._frame(pa >> PAGE_SHIFT)
+            frame = self._frames.get(pa >> PAGE_SHIFT)
+            if frame is None:
+                return bytes(size)
             return bytes(frame[in_page:in_page + size])
         return self._read_pages(pa, size)
 
@@ -144,23 +150,71 @@ class PhysicalMemory:
             pfn = (pa + offset) >> PAGE_SHIFT
             in_page = (pa + offset) & (PAGE_SIZE - 1)
             chunk = min(remaining, PAGE_SIZE - in_page)
-            parts.append(bytes(self._frame(pfn)[in_page:in_page + chunk]))
+            frame = self._frames.get(pfn)
+            parts.append(bytes(chunk) if frame is None
+                         else bytes(frame[in_page:in_page + chunk]))
             offset += chunk
             remaining -= chunk
         return b"".join(parts)
 
     def copy(self, dst_pa: int, src_pa: int, size: int) -> None:
-        """Copy ``size`` bytes between physical ranges (the memcpy engine)."""
+        """Copy ``size`` bytes between physical ranges (the memcpy engine).
+
+        Decided per page chunk: bytes from an unwritten source frame
+        zero-fill a written destination and leave an unwritten one
+        alone; bytes from a written frame materialize the destination.
+        """
         if self._in_one_frame(src_pa, size) and self._in_one_frame(dst_pa,
                                                                    size):
+            frame = self._frames.get(src_pa >> PAGE_SHIFT)
             src = src_pa & _PAGE_MASK
-            chunk = self._frame(src_pa >> PAGE_SHIFT)[src:src + size]
-            dst = dst_pa & _PAGE_MASK
-            self._frame(dst_pa >> PAGE_SHIFT)[dst:dst + size] = chunk
+            self._store_chunk(dst_pa, size, None if frame is None
+                              else frame[src:src + size])
             return
+        self._copy_pages(dst_pa, src_pa, size)
+
+    def _copy_pages(self, dst_pa: int, src_pa: int, size: int) -> None:
+        """:meth:`copy` for any ranges: checked like a read of the source
+        then a write of the destination, then chunk by chunk, each chunk
+        inside one source and one destination frame.  Every source chunk
+        is taken before any is stored, so overlapping ranges copy like
+        ``memmove``."""
         if size == 0:
             return
-        self.write(dst_pa, self.read(src_pa, size))
+        if not self.contains(src_pa, size):
+            raise MemoryAccessError(
+                f"read of {size} bytes at {src_pa:#x} leaves physical memory"
+            )
+        if not self.contains(dst_pa, size):
+            raise MemoryAccessError(
+                f"write of {size} bytes at {dst_pa:#x} leaves physical memory"
+            )
+        chunks = []
+        offset = 0
+        while offset < size:
+            src = (src_pa + offset) & _PAGE_MASK
+            chunk = min(size - offset, PAGE_SIZE - src,
+                        PAGE_SIZE - ((dst_pa + offset) & _PAGE_MASK))
+            frame = self._frames.get((src_pa + offset) >> PAGE_SHIFT)
+            chunks.append((offset, chunk, None if frame is None
+                           else frame[src:src + chunk]))
+            offset += chunk
+        for offset, chunk, data in chunks:
+            self._store_chunk(dst_pa + offset, chunk, data)
+
+    def _store_chunk(self, pa: int, size: int,
+                     data: Optional[bytearray]) -> None:
+        """Store one copy chunk that lies inside one frame.  ``data`` is
+        the source bytes, or ``None`` when the source frame was never
+        written: then a written destination is zero-filled and an
+        unwritten one is left alone."""
+        in_page = pa & _PAGE_MASK
+        if data is not None:
+            self._frame(pa >> PAGE_SHIFT)[in_page:in_page + size] = data
+            return
+        frame = self._frames.get(pa >> PAGE_SHIFT)
+        if frame is not None:
+            frame[in_page:in_page + size] = bytes(size)
 
     def fill(self, pa: int, size: int, value: int = 0) -> None:
         """Fill ``[pa, pa+size)`` with ``value``."""
@@ -171,7 +225,7 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     @property
     def resident_pages(self) -> int:
-        """Number of frames actually materialized (touched) so far."""
+        """Number of frames materialized so far: the pages written."""
         return len(self._frames)
 
     def _check_node(self, node: int) -> None:

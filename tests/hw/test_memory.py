@@ -4,8 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import MemoryAccessError
-from repro.hw.memory import NODE_REGION_BYTES, PhysicalMemory
-from repro.sim.units import PAGE_SIZE
+from repro.hw.memory import (
+    NODE_REGION_BYTES,
+    NODE_REGION_SHIFT,
+    PhysicalMemory,
+)
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
 
 @pytest.fixture
@@ -187,13 +191,7 @@ def test_write_fast_path_matches_general(base, offset, size):
     assert fast._frames == general._frames
 
 
-def _copy_by_pages(mem, dst, src, size):
-    """The general copy, built from the page-by-page read and write."""
-    if size == 0:
-        return
-    mem._write_pages(dst, mem._read_pages(src, size))
-
-
+@example(dst=_NODE1 + 1, src=PAGE_SIZE + 7, size=PAGE_SIZE + 1)
 @example(dst=PAGE_SIZE + 1, src=_NODE - 1, size=1)
 @example(dst=PAGE_SIZE, src=0, size=PAGE_SIZE)
 @example(dst=_NODE - PAGE_SIZE, src=3, size=PAGE_SIZE)
@@ -210,5 +208,193 @@ def _copy_by_pages(mem, dst, src, size):
 def test_copy_fast_path_matches_general(dst, src, size):
     fast, general = _twins()
     assert (_outcome(fast.copy, dst, src, size)
-            == _outcome(_copy_by_pages, general, dst, src, size))
+            == _outcome(general._copy_pages, dst, src, size))
     assert fast._frames == general._frames
+
+
+# ----------------------------------------------------------------------
+# Only writes materialize a frame.  Memory never written reads as zeros
+# without a frame, and ``copy`` decides per page chunk: an unwritten
+# source leaves an unwritten destination alone and zero-fills a written
+# one; a written source materializes the destination.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("pa, size", [
+    (0x5000, 16),                           # inside one frame
+    (PAGE_SIZE - 8, 16),                    # crossing one page boundary
+    (3 * PAGE_SIZE + 5, 2 * PAGE_SIZE),     # spanning three frames
+    (0x5000, 0),                            # empty
+])
+def test_untouched_reads_materialize_nothing(mem, pa, size):
+    mem.write(1 << 20, b"x")
+    assert mem.read(pa, size) == bytes(size)
+    assert mem.resident_pages == 1
+
+
+def test_read_across_written_and_untouched_frames(mem):
+    mem.write(PAGE_SIZE - 2, b"ab")
+    assert mem.read(PAGE_SIZE - 4, 8) == b"\0\0ab\0\0\0\0"
+    assert mem.resident_pages == 1
+
+
+@pytest.mark.parametrize("dst, src, size", [
+    (0x5010, 0x9020, 100),                  # single frame
+    (PAGE_SIZE - 10, 7 * PAGE_SIZE - 3, 2 * PAGE_SIZE),
+])
+def test_copy_untouched_into_untouched_is_a_no_op(mem, dst, src, size):
+    mem.copy(dst, src, size)
+    assert mem.resident_pages == 0
+    assert mem.read(dst, size) == bytes(size)
+
+
+@pytest.mark.parametrize("dst, src, size", [
+    (PAGE_SIZE + 10, 9 * PAGE_SIZE, 100),   # single frame
+    (PAGE_SIZE + 10, 9 * PAGE_SIZE - 5, 2 * PAGE_SIZE - 20),
+])
+def test_copy_untouched_zero_fills_exactly_the_destination(mem, dst, src,
+                                                          size):
+    mem.write(PAGE_SIZE, b"\xab" * (3 * PAGE_SIZE))
+    mem.copy(dst, src, size)
+    assert mem.resident_pages == 3
+    assert mem.read(PAGE_SIZE, 10) == b"\xab" * 10
+    assert mem.read(dst, size) == bytes(size)
+    end = 4 * PAGE_SIZE - (dst + size)
+    assert mem.read(dst + size, end) == b"\xab" * end
+
+
+@pytest.mark.parametrize("dst, src, size", [
+    (5 * PAGE_SIZE + 3, 40, 200),           # single frame
+    (5 * PAGE_SIZE - 3, 40, PAGE_SIZE + 7),
+])
+def test_copy_written_materializes_the_destination(mem, dst, src, size):
+    payload = bytes(range(256)) * (2 * PAGE_SIZE // 256)
+    mem.write(0, payload)
+    mem.copy(dst, src, size)
+    assert mem.read(dst, size) == payload[40:40 + size]
+    pages = {(dst + i) // PAGE_SIZE for i in range(size)}
+    assert mem.resident_pages == 2 + len(pages)
+
+
+@pytest.mark.parametrize("dst, src", [(110, 100), (100, 110)])
+def test_overlapping_copy_inside_one_frame(mem, dst, src):
+    payload = bytes(range(200))
+    mem.write(100, payload)
+    mem.copy(dst, src, 150)
+    expect = bytearray(PAGE_SIZE)
+    expect[100:300] = payload
+    expect[dst:dst + 150] = expect[src:src + 150]
+    assert mem.read(0, PAGE_SIZE) == bytes(expect)
+    assert mem.resident_pages == 1
+
+
+@pytest.mark.parametrize("op, args, message", [
+    ("read", (5 << 36, 1), "read of 1 bytes at 0x5000000000"),
+    ("read", (0, -1), "read of -1 bytes at 0x0"),
+    ("read", ((1 << 36) - 1, 2), "read of 2 bytes at 0xfffffffff"),
+    ("write", ((2 << 36) + 10, b"x"), "write of 1 bytes at 0x200000000a"),
+    ("write", (-1, b"xy"), "write of 2 bytes at -0x1"),
+    ("copy", (0, 5 << 36, 4), "read of 4 bytes at 0x5000000000"),
+    ("copy", (5 << 36, 0, 4), "write of 4 bytes at 0x5000000000"),
+    ("copy", (0, 0, -1), "read of -1 bytes at 0x0"),
+    ("copy", ((2 << 36) - 1, 0, PAGE_SIZE), "write of 4096 bytes at "
+                                            "0x1fffffffff"),
+])
+def test_out_of_range_access_errors(mem, op, args, message):
+    with pytest.raises(MemoryAccessError) as info:
+        getattr(mem, op)(*args)
+    assert str(info.value) == message + " leaves physical memory"
+    assert mem.resident_pages == 0
+
+
+class _DenseMemory:
+    """Reference model: each node is one flat ``bytearray`` made up front,
+    so every access touches real bytes.  ``written`` holds the page-frame
+    numbers a write stored into, or a copy moved bytes into from a
+    written page: the frames the lazy memory must hold."""
+
+    def __init__(self, num_nodes: int, node_bytes: int):
+        self.node_bytes = node_bytes
+        self.nodes = [bytearray(node_bytes) for _ in range(num_nodes)]
+        self.written: set = set()
+
+    def _locate(self, verb: str, pa: int, size: int):
+        node, offset = pa >> NODE_REGION_SHIFT, pa & (NODE_REGION_BYTES - 1)
+        if (size <= 0 or not 0 <= node < len(self.nodes)
+                or offset + size > self.node_bytes):
+            raise MemoryAccessError(
+                f"{verb} of {size} bytes at {pa:#x} leaves physical memory")
+        return self.nodes[node], offset
+
+    def read(self, pa: int, size: int) -> bytes:
+        if size == 0:
+            return b""
+        node, offset = self._locate("read", pa, size)
+        return bytes(node[offset:offset + size])
+
+    def write(self, pa: int, data: bytes) -> None:
+        if not data:
+            return
+        node, offset = self._locate("write", pa, len(data))
+        node[offset:offset + len(data)] = data
+        self.written |= {(pa + i) >> PAGE_SHIFT for i in range(len(data))}
+
+    def copy(self, dst: int, src: int, size: int) -> None:
+        if size == 0:
+            return
+        src_node, src_off = self._locate("read", src, size)
+        dst_node, dst_off = self._locate("write", dst, size)
+        dst_node[dst_off:dst_off + size] = src_node[src_off:src_off + size]
+        self.written |= {(dst + i) >> PAGE_SHIFT for i in range(size)
+                         if (src + i) >> PAGE_SHIFT in self.written}
+
+
+_TWIN_PA = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([0, PAGE_SIZE, _NODE - PAGE_SIZE, _NODE1,
+                     _NODE1 + _NODE - PAGE_SIZE]),
+    st.integers(-2, 2 * PAGE_SIZE))
+_TWIN_SIZE = st.integers(-1, 2 * PAGE_SIZE + 1)
+_TWIN_OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), _TWIN_PA, st.integers(0, 2 * PAGE_SIZE + 1),
+              st.integers(0, 255)),
+    st.tuples(st.just("read"), _TWIN_PA, _TWIN_SIZE),
+    st.tuples(st.just("copy"), _TWIN_PA, _TWIN_PA, _TWIN_SIZE),
+), max_size=12)
+
+
+def _apply(mem, op):
+    if op[0] == "write":
+        _, pa, size, seed = op
+        return _outcome(mem.write, pa,
+                        bytes((i + seed) % 256 for i in range(size)))
+    return _outcome(getattr(mem, op[0]), *op[1:])
+
+
+@example(ops=[("write", PAGE_SIZE - 3, 6, 1), ("read", PAGE_SIZE - 5, 10),
+              ("copy", 3 * PAGE_SIZE - 2, PAGE_SIZE - 4, 8),
+              ("copy", 5 * PAGE_SIZE - 1, 7 * PAGE_SIZE - 1, 2)])
+@example(ops=[("write", _NODE - 4, 4, 9), ("read", _NODE - 4, 5),
+              ("copy", _NODE - 2, _NODE - 4, 2),
+              ("copy", _NODE1 + _NODE - 1, _NODE - 4, 4),
+              ("copy", _NODE1, _NODE - 4, 5)])
+@example(ops=[("write", 0, 0, 0), ("read", _NODE, 0), ("read", 0, 0),
+              ("copy", _NODE, 5 * _NODE1, 0)])
+@example(ops=[("write", 100, 2 * PAGE_SIZE, 3),
+              ("copy", 300, 100, 2 * PAGE_SIZE),
+              ("copy", 50, 300, 2 * PAGE_SIZE),
+              ("copy", 2 * PAGE_SIZE, PAGE_SIZE + 9, PAGE_SIZE),
+              ("read", 0, 2 * PAGE_SIZE + 1)])
+@example(ops=[("write", PAGE_SIZE, PAGE_SIZE, 5),
+              ("copy", PAGE_SIZE + 10, 5 * PAGE_SIZE, 100),
+              ("copy", PAGE_SIZE - 50, 6 * PAGE_SIZE, 2 * PAGE_SIZE),
+              ("write", 3 * PAGE_SIZE, 0, 7)])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ops=_TWIN_OPS)
+def test_lazy_memory_matches_dense_reference(ops):
+    mem = PhysicalMemory(num_nodes=2, node_bytes=_NODE)
+    ref = _DenseMemory(num_nodes=2, node_bytes=_NODE)
+    for op in ops:
+        assert _apply(mem, op) == _apply(ref, op), op
+    for node, content in enumerate(ref.nodes):
+        assert mem.read(node << NODE_REGION_SHIFT, _NODE) == content
+    assert set(mem._frames) == ref.written
+    assert mem.resident_pages == len(ref.written)
