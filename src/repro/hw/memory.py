@@ -11,6 +11,11 @@ can expose many gigabytes of address space while only the written pages
 cost host memory.  Frames are never dropped: freed pages keep their
 bytes for the attack framework.
 
+A frame also holds its page only up to its *written extent*, the highest
+byte offset ever stored into it; bytes past the extent read as zeros,
+like the bytes of a page never written.  A NIC that writes a 160-byte
+request into a page then costs 160 bytes of host memory, not 4 KB.
+
 Each NUMA node owns a disjoint physical address range (64 GiB apart), so
 the node of any physical address can be recovered arithmetically — the
 shadow pool uses this to keep copies NUMA-local (§5.3).
@@ -77,13 +82,6 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     # Byte access.
     # ------------------------------------------------------------------
-    def _frame(self, pfn: int) -> bytearray:
-        frame = self._frames.get(pfn)
-        if frame is None:
-            frame = bytearray(PAGE_SIZE)
-            self._frames[pfn] = frame
-        return frame
-
     def _in_one_frame(self, pa: int, size: int) -> bool:
         """Whether ``[pa, pa+size)`` is non-empty and lies inside one
         page frame of one node's region: the precondition of the
@@ -100,7 +98,14 @@ class PhysicalMemory:
         if (0 < size <= PAGE_SIZE - in_page
                 and 0 <= pa >> NODE_REGION_SHIFT < self.num_nodes
                 and (pa & _NODE_OFFSET_MASK) + size <= self.node_bytes):
-            self._frame(pa >> PAGE_SHIFT)[in_page:in_page + size] = data
+            frame = self._frames.get(pa >> PAGE_SHIFT)
+            if frame is None:
+                self._frames[pa >> PAGE_SHIFT] = bytearray(in_page) + data
+            elif in_page <= len(frame):
+                frame[in_page:in_page + size] = data
+            else:
+                frame += bytes(in_page - len(frame))
+                frame += data
             return
         self._write_pages(pa, data)
 
@@ -116,10 +121,8 @@ class PhysicalMemory:
         remaining = len(data)
         view = memoryview(data)
         while remaining:
-            pfn = (pa + offset) >> PAGE_SHIFT
-            in_page = (pa + offset) & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - in_page)
-            self._frame(pfn)[in_page:in_page + chunk] = view[offset:offset + chunk]
+            chunk = min(remaining, PAGE_SIZE - ((pa + offset) & _PAGE_MASK))
+            self._store_chunk(pa + offset, chunk, view[offset:offset + chunk])
             offset += chunk
             remaining -= chunk
 
@@ -132,7 +135,9 @@ class PhysicalMemory:
             frame = self._frames.get(pa >> PAGE_SHIFT)
             if frame is None:
                 return bytes(size)
-            return bytes(frame[in_page:in_page + size])
+            if in_page + size <= len(frame):
+                return bytes(frame[in_page:in_page + size])
+            return bytes(frame[in_page:]).ljust(size, b"\0")
         return self._read_pages(pa, size)
 
     def _read_pages(self, pa: int, size: int) -> bytes:
@@ -151,8 +156,8 @@ class PhysicalMemory:
             in_page = (pa + offset) & (PAGE_SIZE - 1)
             chunk = min(remaining, PAGE_SIZE - in_page)
             frame = self._frames.get(pfn)
-            parts.append(bytes(chunk) if frame is None
-                         else bytes(frame[in_page:in_page + chunk]))
+            part = b"" if frame is None else frame[in_page:in_page + chunk]
+            parts.append(bytes(part).ljust(chunk, b"\0"))
             offset += chunk
             remaining -= chunk
         return b"".join(parts)
@@ -162,7 +167,8 @@ class PhysicalMemory:
 
         Decided per page chunk: bytes from an unwritten source frame
         zero-fill a written destination and leave an unwritten one
-        alone; bytes from a written frame materialize the destination.
+        alone; bytes from a written frame materialize the destination,
+        which stores the chunk's bytes inside the source's extent.
         """
         if self._in_one_frame(src_pa, size) and self._in_one_frame(dst_pa,
                                                                    size):
@@ -203,18 +209,37 @@ class PhysicalMemory:
             self._store_chunk(dst_pa + offset, chunk, data)
 
     def _store_chunk(self, pa: int, size: int,
-                     data: Optional[bytearray]) -> None:
-        """Store one copy chunk that lies inside one frame.  ``data`` is
-        the source bytes, or ``None`` when the source frame was never
-        written: then a written destination is zero-filled and an
-        unwritten one is left alone."""
+                     data: Optional[bytes]) -> None:
+        """Store ``size`` bytes at ``pa``, inside one frame: ``data``,
+        then zeros for the rest of the range.  ``data`` is at most
+        ``size`` bytes long (a source chunk cut at its frame's extent),
+        or ``None`` when it comes from a frame never written.  Bytes of
+        ``data`` land like a write: a missing frame is made, and a gap
+        past the extent is padded with zeros.  ``None`` makes no frame,
+        and an empty ``data`` makes an empty one.  The zeros clear only
+        bytes inside the extent, since the rest already read as zeros."""
+        pfn = pa >> PAGE_SHIFT
         in_page = pa & _PAGE_MASK
-        if data is not None:
-            self._frame(pa >> PAGE_SHIFT)[in_page:in_page + size] = data
+        frame = self._frames.get(pfn)
+        if frame is None:
+            if data is not None:
+                self._frames[pfn] = bytearray(in_page) + data if data \
+                    else bytearray()
             return
-        frame = self._frames.get(pa >> PAGE_SHIFT)
-        if frame is not None:
-            frame[in_page:in_page + size] = bytes(size)
+        if data:
+            if len(frame) < in_page:
+                frame += bytes(in_page - len(frame))
+            stored = len(data)
+            frame[in_page:in_page + stored] = data
+            if stored == size:
+                return
+            in_page += stored
+            size -= stored
+        end = in_page + size
+        if end > len(frame):
+            end = len(frame)
+        if in_page < end:
+            frame[in_page:end] = bytes(end - in_page)
 
     def fill(self, pa: int, size: int, value: int = 0) -> None:
         """Fill ``[pa, pa+size)`` with ``value``."""
@@ -227,6 +252,11 @@ class PhysicalMemory:
     def resident_pages(self) -> int:
         """Number of frames materialized so far: the pages written."""
         return len(self._frames)
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes the frames hold: the sum of their written extents."""
+        return sum(map(len, self._frames.values()))
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

@@ -54,7 +54,7 @@ Measurement conventions worth knowing when reading the numbers:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Set, Tuple
 
@@ -157,9 +157,12 @@ class _DomainExposure:
     pages: Dict[int, _PageState] = field(default_factory=dict)
     stale: Dict[int, _StalePage] = field(default_factory=dict)
     live: Dict[int, _LiveMap] = field(default_factory=dict)
-    #: Per-page ``(last_map_t, last_unmap_t)`` for fault forensics.
-    history: Dict[int, Tuple[Optional[int], Optional[int]]] = \
-        field(default_factory=dict)
+    #: Per-page ``(last_map_t, last_unmap_t)`` for fault forensics, least
+    #: recently remembered first.  An ``OrderedDict``, because a plain
+    #: dict under this pop-and-reinsert churn finds its first entry only
+    #: by scanning the deleted slots in front of it.
+    history: OrderedDict[int, Tuple[Optional[int], Optional[int]]] = \
+        field(default_factory=OrderedDict)
     # Totals.
     stale_byte_cycles: int = 0
     stale_windows: int = 0
@@ -179,11 +182,16 @@ class _DomainExposure:
 
     def remember(self, page: int, *, map_t: Optional[int] = None,
                  unmap_t: Optional[int] = None) -> None:
-        prev = self.history.pop(page, (None, None))
-        self.history[page] = (map_t if map_t is not None else prev[0],
-                              unmap_t if unmap_t is not None else prev[1])
-        if len(self.history) > _HISTORY_LIMIT:
-            self.history.pop(next(iter(self.history)))
+        history = self.history
+        prev = history.get(page)
+        if prev is None:
+            history[page] = (map_t, unmap_t)
+            if len(history) > _HISTORY_LIMIT:
+                history.popitem(last=False)
+            return
+        history[page] = (map_t if map_t is not None else prev[0],
+                         unmap_t if unmap_t is not None else prev[1])
+        history.move_to_end(page)
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -305,16 +305,117 @@ def test_out_of_range_access_errors(mem, op, args, message):
     assert mem.resident_pages == 0
 
 
+# ----------------------------------------------------------------------
+# Written extent: a frame holds its page only up to the highest byte
+# offset ever stored into it, and bytes past the extent read as zeros.
+# ----------------------------------------------------------------------
+def _extent(mem, pa):
+    return len(mem._frames[pa >> PAGE_SHIFT])
+
+
+def test_new_frame_holds_only_up_to_the_written_end(mem):
+    mem.write(PAGE_SIZE + 100, b"abc")
+    assert _extent(mem, PAGE_SIZE) == 103
+    assert mem.resident_pages == 1 and mem.resident_bytes == 103
+
+
+@pytest.mark.parametrize("pa, size", [
+    (98, 10),                               # single frame
+    (98, PAGE_SIZE),                        # crossing into an untouched frame
+    (103, 5),                               # starting at the extent
+    (500, 8),                               # starting past the extent
+])
+def test_read_across_the_extent_pads_zeros(mem, pa, size):
+    mem.write(100, b"abc")
+    expect = bytearray(PAGE_SIZE + 200)
+    expect[100:103] = b"abc"
+    got = mem.read(pa, size)
+    assert type(got) is bytes and got == bytes(expect[pa:pa + size])
+    assert _extent(mem, 0) == 103 and mem.resident_pages == 1
+
+
+def test_write_past_the_extent_pads_the_gap(mem):
+    mem.write(10, b"ab")
+    mem.write(50, b"cd")
+    assert _extent(mem, 0) == 52
+    assert mem.read(0, 60) == bytes(10) + b"ab" + bytes(38) + b"cd" + bytes(8)
+
+
+def test_write_inside_the_extent_keeps_the_frame_length(mem):
+    mem.write(0, b"x" * 100)
+    mem.write(10, b"yy")
+    assert _extent(mem, 0) == 100
+    assert mem.read(0, 101) == b"x" * 10 + b"yy" + b"x" * 88 + b"\0"
+
+
+def test_write_over_the_end_of_the_extent_extends_the_frame(mem):
+    mem.write(0, b"x" * 100)
+    mem.write(90, b"y" * 20)
+    assert _extent(mem, 0) == 110
+    assert mem.read(0, 111) == b"x" * 90 + b"y" * 20 + b"\0"
+
+
+@pytest.mark.parametrize("dst_extent", [200, 100])
+def test_copy_zero_fills_only_inside_the_destination_extent(mem,
+                                                            dst_extent):
+    src, dst = 3 * PAGE_SIZE, 5 * PAGE_SIZE
+    mem.write(src, bytes(range(1, 51)))               # source extent 50
+    mem.write(dst, b"\xab" * dst_extent)
+    mem.copy(dst + 20, src, 100)                      # 50 bytes land
+    expect = b"\xab" * 20 + bytes(range(1, 51)) + bytes(50)
+    expect += b"\xab" * (dst_extent - len(expect))
+    assert _extent(mem, dst) == dst_extent
+    assert mem.read(dst, PAGE_SIZE) == expect.ljust(PAGE_SIZE, b"\0")
+
+
+@pytest.mark.parametrize("dst, size", [
+    (5 * PAGE_SIZE + 7, 50),                          # single frame
+    (5 * PAGE_SIZE - 20, 50),                         # two frames
+])
+def test_copy_past_a_written_source_extent_makes_empty_frames(mem, dst,
+                                                              size):
+    mem.write(0, b"z" * 10)
+    mem.copy(dst, 100, size)
+    pages = {(dst + i) >> PAGE_SHIFT for i in range(size)}
+    assert set(mem._frames) == {0} | pages
+    assert all(_extent(mem, page << PAGE_SHIFT) == 0 for page in pages)
+    assert mem.resident_bytes == 10
+    assert mem.read(dst, size) == bytes(size)
+
+
+@pytest.mark.parametrize("dst, src, extent", [
+    (250, 100, 400),        # the copy runs the extent forward
+    (100, 250, 300),        # the source runs past the extent: zeros land
+])
+def test_overlapping_copy_across_the_extent(mem, dst, src, extent):
+    payload = bytes(range(1, 201))
+    mem.write(100, payload)                           # extent 300
+    mem.copy(dst, src, 150)
+    expect = bytearray(PAGE_SIZE)
+    expect[100:300] = payload
+    expect[dst:dst + 150] = expect[src:src + 150]
+    assert mem.read(0, PAGE_SIZE) == bytes(expect)
+    assert _extent(mem, 0) == extent
+
+
 class _DenseMemory:
     """Reference model: each node is one flat ``bytearray`` made up front,
     so every access touches real bytes.  ``written`` holds the page-frame
     numbers a write stored into, or a copy moved bytes into from a
-    written page: the frames the lazy memory must hold."""
+    written page: the frames the lazy memory must hold.  ``extents``
+    holds, per written page, the highest in-page end of a byte stored
+    into it: a written byte, or a copied byte that lay inside its source
+    page's extent.  That is the length each frame must have."""
 
     def __init__(self, num_nodes: int, node_bytes: int):
         self.node_bytes = node_bytes
         self.nodes = [bytearray(node_bytes) for _ in range(num_nodes)]
         self.written: set = set()
+        self.extents: dict = {}
+
+    def _store(self, pa: int) -> None:
+        pfn, end = pa >> PAGE_SHIFT, (pa & (PAGE_SIZE - 1)) + 1
+        self.extents[pfn] = max(self.extents.get(pfn, 0), end)
 
     def _locate(self, verb: str, pa: int, size: int):
         node, offset = pa >> NODE_REGION_SHIFT, pa & (NODE_REGION_BYTES - 1)
@@ -336,6 +437,8 @@ class _DenseMemory:
         node, offset = self._locate("write", pa, len(data))
         node[offset:offset + len(data)] = data
         self.written |= {(pa + i) >> PAGE_SHIFT for i in range(len(data))}
+        for i in range(len(data)):
+            self._store(pa + i)
 
     def copy(self, dst: int, src: int, size: int) -> None:
         if size == 0:
@@ -343,8 +446,13 @@ class _DenseMemory:
         src_node, src_off = self._locate("read", src, size)
         dst_node, dst_off = self._locate("write", dst, size)
         dst_node[dst_off:dst_off + size] = src_node[src_off:src_off + size]
+        landed = [i for i in range(size)
+                  if (src + i) & (PAGE_SIZE - 1)
+                  < self.extents.get((src + i) >> PAGE_SHIFT, 0)]
         self.written |= {(dst + i) >> PAGE_SHIFT for i in range(size)
                          if (src + i) >> PAGE_SHIFT in self.written}
+        for i in landed:
+            self._store(dst + i)
 
 
 _TWIN_PA = st.builds(
@@ -398,3 +506,6 @@ def test_lazy_memory_matches_dense_reference(ops):
         assert mem.read(node << NODE_REGION_SHIFT, _NODE) == content
     assert set(mem._frames) == ref.written
     assert mem.resident_pages == len(ref.written)
+    assert ({pfn: len(frame) for pfn, frame in mem._frames.items()}
+            == {pfn: ref.extents.get(pfn, 0) for pfn in ref.written})
+    assert mem.resident_bytes == sum(ref.extents.values())

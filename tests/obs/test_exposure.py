@@ -17,6 +17,7 @@ import pytest
 
 from repro.attacks.scenarios import measure_scheme_exposure
 from repro.obs.exposure import (
+    _HISTORY_LIMIT,
     KIND_DEDICATED,
     KIND_OS,
     PAGE_SIZE,
@@ -192,6 +193,28 @@ def test_fault_ring_is_bounded():
     assert acc.faults_dropped == 6
     # Oldest evicted first: the ring holds the newest four.
     assert [f.t for f in acc.faults] == [6, 7, 8, 9]
+
+
+def test_history_evicts_the_least_recently_remembered_page():
+    """At the real limit, a new page evicts the page remembered longest
+    ago, and remembering a page again moves it to the back."""
+    acc = ExposureAccountant()
+    dom = acc._domain(1, 0x10)
+    for page in range(_HISTORY_LIMIT):
+        dom.remember(page, map_t=page)
+    dom.remember(0, unmap_t=_HISTORY_LIMIT)         # page 1 is now oldest
+    new = _HISTORY_LIMIT + 7
+    acc.note_map_range(t=_HISTORY_LIMIT + 1, domain_id=1, device_id=0x10,
+                       iova=new * PAGE_SIZE, size=PAGE_SIZE)
+    assert len(dom.history) == _HISTORY_LIMIT
+    assert 1 not in dom.history
+    assert dom.history[0] == (0, _HISTORY_LIMIT)
+    assert list(dom.history)[:2] == [2, 3]
+    assert list(dom.history)[-2:] == [0, new]
+    acc.note_fault(t=_HISTORY_LIMIT + 2, domain_id=1, device_id=0x10,
+                   iova=PAGE_SIZE, is_write=False, reason="not-present")
+    assert (acc.faults[-1].last_map_t, acc.faults[-1].last_unmap_t) \
+        == (None, None)
 
 
 def test_fault_to_dict_round_trips_key_fields():
