@@ -4,12 +4,10 @@
 through one harness (:mod:`repro.bench.runner`), writes a fingerprinted
 machine-readable record plus a markdown report
 (:mod:`repro.bench.record`), and can gate the run against a prior
-baseline record (:mod:`repro.bench.regression`).  The resource
-accounting smoke checks live in :mod:`repro.bench.invariants`.
-
-The per-figure ``benchmarks/bench_fig*.py`` scripts keep working — their
-shared helpers (``stream_sweep``, ``rr_sweep``, …) now live in
-:mod:`repro.bench.runner` and ``benchmarks/common.py`` re-exports them.
+baseline record (:mod:`repro.bench.regression`).  ``--full`` regenerates
+the paper-size tables; the paper-shape assertions live in
+``tests/integration/test_paper_shapes.py``.  The resource accounting
+smoke checks live in :mod:`repro.bench.invariants`.
 """
 
 from repro.bench.runner import (  # noqa: F401
@@ -18,10 +16,7 @@ from repro.bench.runner import (  # noqa: F401
     BenchScale,
     FULL_SCALE,
     QUICK_SCALE,
-    relative,
-    rr_sweep,
     run_bench,
-    stream_sweep,
 )
 
 __all__ = [
@@ -30,8 +25,5 @@ __all__ = [
     "BenchScale",
     "FULL_SCALE",
     "QUICK_SCALE",
-    "relative",
-    "rr_sweep",
     "run_bench",
-    "stream_sweep",
 ]

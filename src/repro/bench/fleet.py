@@ -35,7 +35,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +43,7 @@ from repro.bench.runner import (
     _throughput_entry,
     captured_run,
     default_results_dir,
+    run_tasks,
 )
 from repro.bench.scale import resolve_schemes
 from repro.obs.perfetto import perfetto_trace
@@ -239,8 +239,6 @@ def build_searches(schemes: Sequence[str], sizing: FleetSizing,
     Searches run in any order across processes but merge back **in
     scheme order**, so the result is deterministic at any job count.
     """
-    if jobs < 1:
-        raise SystemExit(f"error: jobs must be positive: {jobs}")
     tasks = [(scheme, sizing, with_trace) for scheme in schemes]
     built: Dict[str, Tuple[Dict, float]] = {}
 
@@ -251,13 +249,7 @@ def build_searches(schemes: Sequence[str], sizing: FleetSizing,
               f"({len(search['curve'])} evals, {elapsed:5.1f}s)",
               file=sys.stderr)
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for scheme, search, elapsed in pool.map(_scheme_worker, tasks):
-                note(scheme, search, elapsed)
-    else:
-        for task in tasks:
-            note(*_scheme_worker(task))
+    run_tasks(_scheme_worker, tasks, jobs, note)
 
     searches = {scheme: built[scheme][0] for scheme in schemes}
     rows = [p["row"] for search in searches.values()

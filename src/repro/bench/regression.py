@@ -163,7 +163,9 @@ def _compare_throughput(baseline: Dict, current: Dict,
                         tol: Dict[str, Tuple[bool, float]],
                         ) -> List[Regression]:
     """Gate the per-figure simulator-speed section, when both records
-    carry one (records predating the section pass trivially)."""
+    carry one (records predating the section pass trivially).  A
+    figure whose baseline has a rate but whose current entry lost it
+    regresses as if the rate were zero."""
     metric = "units_per_wall_second"
     if metric not in tol:
         return []
@@ -176,9 +178,9 @@ def _compare_throughput(baseline: Dict, current: Dict,
                 or not isinstance(cur_entry, dict):
             continue
         base_val = base_entry.get(metric)
-        cur_val = cur_entry.get(metric)
-        if not base_val or cur_val is None:
+        if not base_val:
             continue
+        cur_val = cur_entry.get(metric) or 0
         change = (cur_val - base_val) / base_val
         bad = -change if higher_is_better else change
         if bad > band:

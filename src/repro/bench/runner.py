@@ -1,17 +1,13 @@
-"""The unified benchmark runner behind ``python -m repro bench``.
+"""The figure registry and runner behind ``python -m repro bench``.
 
-Two layers live here:
-
-1. **Sweep helpers** (``stream_sweep``, ``rr_sweep``, ``relative``,
-   ``save_report``, ``save_csv``) — shared by the per-figure
-   ``benchmarks/bench_fig*.py`` scripts, which import them through the
-   ``benchmarks/common.py`` shim exactly as before.
-2. **The figure registry + runner** — every figure/table of the paper as
-   a :class:`FigureSpec` that runs at a selectable scale
-   (:data:`QUICK_SCALE` / :data:`FULL_SCALE`), captures span-attribution
-   trees per scheme, and feeds one fingerprinted record
-   (:mod:`repro.bench.record`) plus the optional regression gate
-   (:mod:`repro.bench.regression`).
+Every figure/table of the paper is a :class:`FigureSpec` that runs at a
+selectable scale (:data:`QUICK_SCALE` / :data:`FULL_SCALE`), captures
+span-attribution trees per scheme, and feeds one fingerprinted record
+(:mod:`repro.bench.record`) plus the optional regression gate
+(:mod:`repro.bench.regression`).  :func:`run_tasks` is the one
+process fan-out shared by ``bench``, ``report``, ``scale``, ``fleet``
+and live ``diff``.  The paper-shape assertions on the same workloads
+live in ``tests/integration/test_paper_shapes.py``.
 
 Every run in the registry executes under a capturing
 :class:`~repro.obs.context.Observability`; the zero-overhead guarantee
@@ -27,11 +23,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.context import Observability
 from repro.obs.spans import SpanNode, merge_span_trees
-from repro.stats.export import result_to_row, write_csv
+from repro.stats.export import result_to_row
 from repro.stats.reporting import (
     render_breakdown_table,
     render_latency_table,
@@ -53,12 +49,6 @@ from repro.workloads.storage import StorageConfig, run_storage
 #: The four systems of the paper's figures, in the legend's order.
 FIGURE_SCHEMES = ("no-iommu", "copy", "identity-deferred", "identity-strict")
 
-#: Work per configuration for the legacy per-figure scripts.  Sized for
-#: steady state at tolerable runtime; override through the environment.
-UNITS_SINGLE_CORE = int(os.environ.get("REPRO_BENCH_UNITS", "1200"))
-UNITS_MULTI_CORE = int(os.environ.get("REPRO_BENCH_UNITS_MC", "350"))
-WARMUP = 120
-
 #: Ring capacity for bench-mode capture.  Spans and metrics aggregate in
 #: place; the event ring is only kept small and warm so record extras
 #: stay cheap.
@@ -75,95 +65,6 @@ def default_results_dir() -> str:
     ``benchmarks/results`` under the current directory."""
     return (os.environ.get("REPRO_BENCH_RESULTS")
             or os.path.join(os.getcwd(), "benchmarks", "results"))
-
-
-def save_report(name: str, text: str,
-                results_dir: Optional[str] = None) -> str:
-    out = results_dir or default_results_dir()
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{name}.txt")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    print()
-    print(text)
-    return path
-
-
-def save_csv(name: str, results,
-             results_dir: Optional[str] = None) -> str:
-    """Write the raw RunResults behind a figure as CSV (for plotting).
-
-    Accepts a dict of scheme -> [RunResult] (figure sweeps), a dict of
-    scheme -> RunResult (breakdowns/bars), or a flat list.
-    """
-    flat = _flatten(results)
-    out = results_dir or default_results_dir()
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{name}.csv")
-    write_csv(flat, path)
-    return path
-
-
-def _flatten(results) -> List[RunResult]:
-    flat: List[RunResult] = []
-    if isinstance(results, dict):
-        for value in results.values():
-            flat.extend(value if isinstance(value, list) else [value])
-    else:
-        flat = list(results)
-    return flat
-
-
-def stream_sweep(direction: str, cores: int,
-                 schemes: Sequence[str] = FIGURE_SCHEMES,
-                 sizes: Sequence[int] = PAPER_MESSAGE_SIZES,
-                 **config_kwargs) -> Dict[str, List[RunResult]]:
-    """Run a Figure 3/4/6/7-style sweep: schemes × message sizes."""
-    units = UNITS_SINGLE_CORE if cores == 1 else UNITS_MULTI_CORE
-    runner = run_tcp_stream_rx if direction == "rx" else run_tcp_stream_tx
-    results: Dict[str, List[RunResult]] = {}
-    for scheme in schemes:
-        results[scheme] = [
-            runner(StreamConfig(scheme=scheme, direction=direction,
-                                message_size=size, cores=cores,
-                                units_per_core=units, warmup_units=WARMUP,
-                                **config_kwargs))
-            for size in sizes
-        ]
-    return results
-
-
-def rr_sweep(schemes: Sequence[str] = FIGURE_SCHEMES,
-             sizes: Sequence[int] = PAPER_MESSAGE_SIZES,
-             transactions: int = 300) -> Dict[str, List[RunResult]]:
-    """Run the Figure 9/10 request/response sweep."""
-    return {
-        scheme: [run_tcp_rr(RRConfig(scheme=scheme, message_size=size,
-                                     transactions=transactions,
-                                     warmup_transactions=40))
-                 for size in sizes]
-        for scheme in schemes
-    }
-
-
-def relative(results: Dict[str, List[RunResult]], scheme: str, size: int,
-             baseline: str = "no-iommu", what: str = "throughput") -> float:
-    """Relative throughput/CPU of ``scheme`` at ``size`` vs ``baseline``."""
-    def at(s):
-        for r in results[s]:
-            if r.params["message_size"] == size:
-                return r
-        raise KeyError(size)
-
-    a, b = at(scheme), at(baseline)
-    if what == "throughput":
-        return a.throughput_gbps / b.throughput_gbps if b.throughput_gbps else 0
-    return a.cpu_utilization / b.cpu_utilization if b.cpu_utilization else 0
-
-
-def run_once(benchmark, fn: Callable[[], object]):
-    """Execute a sweep exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +114,7 @@ QUICK_SCALE = BenchScale(
     scalinv_cores=(1, 4, 16),
 )
 
-#: ``--full``: the sizes the per-figure scripts use for the paper tables.
+#: ``--full``: paper-table sizes (1200/350 units per core, 120 warm-up).
 FULL_SCALE = BenchScale(
     name="full",
     units_single=1200, units_multi=350,
@@ -549,6 +450,28 @@ def _throughput_entry(sim_cycles: int, units: int,
     return entry
 
 
+def run_tasks(worker: Callable[[Any], tuple], tasks: Sequence,
+              jobs: int, note: Callable[..., None]) -> None:
+    """Run ``worker`` on every task, over ``jobs`` processes, and hand
+    each result to ``note`` **in task order** — the one fan-out behind
+    ``bench``, ``report``, ``scale``, ``fleet`` and live ``diff``.
+
+    ``worker`` must be a top-level (hence picklable) function returning
+    a tuple; ``note(*result)`` runs in the calling process, so merged
+    output is deterministic at any job count.  ``jobs == 1`` (or a
+    single task) runs in-process.
+    """
+    if jobs < 1:
+        raise SystemExit(f"error: jobs must be positive: {jobs}")
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            for result in pool.map(worker, tasks):
+                note(*result)
+    else:
+        for task in tasks:
+            note(*worker(task))
+
+
 def _capture_tax(runner: Callable, config) -> Tuple[float, float]:
     """Rerun one point with observability off, then under capture, back
     to back; returns ``(captured / uncaptured seconds, both runs'
@@ -563,16 +486,20 @@ def _capture_tax(runner: Callable, config) -> Tuple[float, float]:
     return round((t2 - t1) / (t1 - t0), 3), t2 - t0
 
 
-def _timed_build(spec: FigureSpec, scale: BenchScale
-                 ) -> Tuple[dict, float, Optional[float], float]:
-    """Build one figure; returns ``(data, build seconds, capture tax,
-    twin seconds)``.
+def _build_worker(task: Tuple[str, BenchScale]
+                  ) -> Tuple[str, dict, float, Optional[float], float]:
+    """Top-level (hence picklable) :func:`run_tasks` worker: build one
+    figure; returns ``(name, data, build seconds, capture tax, twin
+    seconds)``.
 
-    The capture-tax twins rerun the figure's first captured point after
-    the build's clock has stopped, so the build seconds and the gated
-    units rate do not include them.
+    The build is timed inside the worker so per-figure wall seconds mean
+    the same thing at any job count.  The capture-tax twins rerun the
+    figure's first captured point after the build's clock has stopped,
+    so the build seconds and the gated units rate do not include them.
     """
     global _first_point
+    name, scale = task
+    spec = next(spec for spec in FIGURES if spec.name == name)
     _first_point = first = []
     try:
         t0 = time.perf_counter()
@@ -581,20 +508,8 @@ def _timed_build(spec: FigureSpec, scale: BenchScale
     finally:
         _first_point = None
     if not first:
-        return data, elapsed, None, 0.0
-    return (data, elapsed, *_capture_tax(*first[0]))
-
-
-def _build_worker(task: Tuple[str, BenchScale]
-                  ) -> Tuple[str, dict, float, Optional[float], float]:
-    """Top-level (hence picklable) per-process worker: build one figure.
-
-    The build is timed inside the worker so per-figure wall seconds mean
-    the same thing at any job count.
-    """
-    name, scale = task
-    spec = next(spec for spec in FIGURES if spec.name == name)
-    return (name, *_timed_build(spec, scale))
+        return name, data, elapsed, None, 0.0
+    return (name, data, elapsed, *_capture_tax(*first[0]))
 
 
 def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
@@ -611,8 +526,6 @@ def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
     :func:`_throughput_entry` per figure and ``"overall"`` (summed
     figure build times, not makespan — comparable across job counts).
     """
-    if jobs < 1:
-        raise SystemExit(f"error: jobs must be positive: {jobs}")
     titles = {spec.name: spec.title for spec in specs}
     built: Dict[str, Tuple[dict, float, Optional[float]]] = {}
     twin_seconds = 0.0
@@ -625,14 +538,8 @@ def build_figures(specs: Sequence[FigureSpec], scale: BenchScale,
         print(f"[{label}] {name:<8} {titles[name]:<50} "
               f"{elapsed:6.1f}s", file=sys.stderr)
 
-    if jobs > 1 and len(specs) > 1:
-        tasks = [(spec.name, scale) for spec in specs]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            for name, *rest in pool.map(_build_worker, tasks):
-                note(name, *rest)
-    else:
-        for spec in specs:
-            note(spec.name, *_timed_build(spec, scale))
+    run_tasks(_build_worker, [(spec.name, scale) for spec in specs],
+              jobs, note)
     print(f"[{label}] capture-tax twins {twin_seconds:.1f}s "
           f"(not in the figure times)", file=sys.stderr)
 

@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,6 +34,7 @@ from repro.bench.runner import (
     _throughput_entry,
     _TRACE_CAPACITY,
     default_results_dir,
+    run_tasks,
 )
 from repro.dma.registry import ALL_SCHEMES, PAPER_ALIASES
 from repro.obs.context import Observability
@@ -220,14 +220,12 @@ def build_sweep(workload: str, schemes: Sequence[str],
                 ) -> Tuple[Dict[str, List[Dict]], Dict[str, dict]]:
     """Run every (scheme, cores) point; returns ``(points, throughput)``.
 
-    Mirrors :func:`repro.bench.runner.build_figures`: points run in any
-    order across processes but merge back **in task order**, so the
-    result is deterministic at any ``jobs`` count.  The throughput
-    section sums per-point wall times (not makespan), comparable across
-    job counts the way the bench section is.
+    Points fan out through :func:`repro.bench.runner.run_tasks` and
+    merge back **in task order**, so the result is deterministic at any
+    ``jobs`` count.  The throughput section sums per-point wall times
+    (not makespan), comparable across job counts the way the bench
+    section is.
     """
-    if jobs < 1:
-        raise SystemExit(f"error: jobs must be positive: {jobs}")
     tasks = [(workload, scheme, n, sizing)
              for scheme in schemes for n in cores]
     built: Dict[Tuple[str, int], Tuple[Dict, float]] = {}
@@ -238,14 +236,7 @@ def build_sweep(workload: str, schemes: Sequence[str],
               f"{point['throughput_gbps']:8.2f} Gb/s  {elapsed:5.1f}s",
               file=sys.stderr)
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for scheme, n, point, elapsed in pool.map(_point_worker, tasks):
-                note(scheme, n, point, elapsed)
-    else:
-        for task in tasks:
-            scheme, n, point, elapsed = _point_worker(task)
-            note(scheme, n, point, elapsed)
+    run_tasks(_point_worker, tasks, jobs, note)
 
     points: Dict[str, List[Dict]] = {
         scheme: [built[(scheme, n)][0] for n in cores]

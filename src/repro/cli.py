@@ -17,9 +17,9 @@ Examples::
 
 Every subcommand prints the same metrics the corresponding paper
 table/figure reports.  ``python -m repro bench`` runs the full figure
-registry and writes a machine-readable ``BENCH_*.json`` record; the
-per-figure scripts remain available through
-``pytest benchmarks/ --benchmark-only``.
+registry and writes a machine-readable ``BENCH_*.json`` record;
+``python -m repro bench --full`` regenerates every figure at the
+paper's sizes.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ Three constructors cover the CLI's modes:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -245,23 +244,19 @@ def run_live_pair(workload: str, scheme_a: str, scheme_b: str,
     """
     import sys
 
+    from repro.bench.runner import run_tasks
+
     tasks: Sequence[Tuple] = (
         (workload, scheme_a, cores, size, units, warmup, tail_percentile),
         (workload, scheme_b, cores, size, units, warmup, tail_percentile),
     )
     built: List[Tuple[str, Dict]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            for scheme, payload, elapsed in pool.map(_live_worker, tasks):
-                built.append((scheme, payload))
-                if not quiet:
-                    print(f"[diff] {scheme:<18} {workload} cores={cores} "
-                          f"{elapsed:5.1f}s", file=sys.stderr)
-    else:
-        for task in tasks:
-            scheme, payload, elapsed = _live_worker(task)
-            built.append((scheme, payload))
-            if not quiet:
-                print(f"[diff] {scheme:<18} {workload} cores={cores} "
-                      f"{elapsed:5.1f}s", file=sys.stderr)
+
+    def note(scheme: str, payload: Dict, elapsed: float) -> None:
+        built.append((scheme, payload))
+        if not quiet:
+            print(f"[diff] {scheme:<18} {workload} cores={cores} "
+                  f"{elapsed:5.1f}s", file=sys.stderr)
+
+    run_tasks(_live_worker, tasks, jobs, note)
     return (_rebuild_side(*built[0]), _rebuild_side(*built[1]))

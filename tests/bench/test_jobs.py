@@ -119,6 +119,18 @@ def test_throughput_gate_skips_legacy_baselines():
     assert compare_records(legacy, current) == []
 
 
+def test_throughput_gate_trips_on_missing_rate():
+    """A figure whose current entry lost the rate the baseline has
+    regresses as if the rate were zero instead of passing silently."""
+    baseline = _record_with_rate(1_000_000)
+    current = _record_with_rate(1_000_000)
+    del current["throughput"]["fig05"]["units_per_wall_second"]
+    (regression,) = compare_records(baseline, current)
+    assert (regression.figure, regression.metric) \
+        == ("fig05", "units_per_wall_second")
+    assert regression.current == 0.0
+
+
 def test_capture_tax_is_reported_per_figure_and_report_only():
     """Each figure's entry carries the captured / uncaptured wall ratio
     of its first point; the overall entry has none, the stable view
